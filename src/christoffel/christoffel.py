@@ -9,34 +9,29 @@ from math import gcd
 from .words import OrderedAlphabet, Word
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with a*s + b*t == g == gcd(a, b)."""
-    s, old_s = 0, 1
-    t, old_t = 1, 0
-    r, old_r = b, a
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_r, old_s, old_t
-
-
 def modular_inverse(a: int, n: int) -> int:
     """The inverse of a modulo n, for coprime inputs."""
-    g, s, _ = _xgcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {n} (gcd {g})")
-    return s % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise ValueError(f"{a} has no inverse modulo {n} (gcd {gcd(a, n)})") from None
+
+
+def windowed_bezout(a: int, b: int, rhs: int) -> tuple[int, int]:
+    """The unique solution (x, y) of a*x + b*y = rhs with 1 <= y <= a, for coprime a, b.
+
+    This is the one equation behind the superimposition decision, the mirror
+    criterion and the Beatty criterion: each asks whether x >= 1.
+    """
+    y = (rhs * modular_inverse(b, a)) % a or a
+    return (rhs - y * b) // a, y
 
 
 def modular_complement(alpha: int, n: int) -> int:
     """The unique residue r in [0, n) with alpha*r = -1 (mod n)."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
-    r = (-modular_inverse(alpha, n)) % n
-    assert (alpha * r) % n == n - 1
-    return r
+    return (-modular_inverse(alpha, n)) % n
 
 
 @dataclass(frozen=True)
@@ -189,10 +184,9 @@ class LatticePath:
 def christoffel_path(a: int, b: int) -> LatticePath:
     """The lattice path from (0,0) to (a,b) hugging the segment from below.
 
-    Encoding Right -> low and Up -> high spells C(a+b, a).  All geometry is
-    exact integer arithmetic; the cross product b*x - a*y stays in [0, a+b)
-    at every vertex, which certifies that the path is weakly below the
-    segment and encloses no interior lattice point.
+    Encoding Right -> low and Up -> high spells C(a+b, a).  The cross product
+    b*x - a*y stays in [0, a+b) at every vertex, so the path is weakly below
+    the segment and encloses no interior lattice point.
     """
     if a < 1 or b < 1:
         raise ValueError(f"endpoint coordinates must be positive, got ({a}, {b})")
@@ -200,12 +194,4 @@ def christoffel_path(a: int, b: int) -> LatticePath:
         raise ValueError(f"slope must be reduced: gcd({a}, {b}) != 1")
     word = christoffel_word(ChristoffelSpec(a + b, a))
     steps = tuple(Step.RIGHT if c == "a" else Step.UP for c in word.symbols)
-    x = y = 0
-    for s in steps:
-        if s is Step.RIGHT:
-            x += 1
-        else:
-            y += 1
-        cross = b * x - a * y
-        assert 0 <= cross < a + b
-    return LatticePath(steps, (x, y))
+    return LatticePath(steps, (a, b))

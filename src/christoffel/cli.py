@@ -22,25 +22,22 @@ from .christoffel import (
 )
 from .fraenkel import beatty_disjoint_exists, beatty_slice, BeattySpec, fraenkel_word, letter_frequencies
 from .money import CoinPair, boundary_word, frobenius_number, nonrepresentable_count, representable, shifted_cayley
-from .oracle import oracle_beatty_disjoint, oracle_frobenius, oracle_superimposable
+from .oracle import crosscheck, oracle_beatty_disjoint, oracle_frobenius
 from .superimpose import (
     SuperimpositionProblem,
-    canonical_shift,
+    analyze,
+    canonical_witness,
     collapse_merge,
-    count_superimpositions,
     interval_offset,
-    is_superimposable,
     merge_superimposition,
     perfectly_superimposable,
     reversal_superimposition_criterion,
-    solve_bezout,
 )
 from .words import (
     Direction,
     DecimationSpec,
     OrderedAlphabet,
     Word,
-    conjugate,
     count_letter,
     decimate,
     is_balanced,
@@ -48,34 +45,32 @@ from .words import (
     is_primitive,
     make_word,
     projection,
-    reverse,
 )
 
 OK, USAGE_ERROR, PRECONDITION_ERROR, ORACLE_MISMATCH = 0, 2, 3, 4
 
-# Which library operations each verb can reach; the test suite checks that
-# the union covers the whole public surface.
+# Which library operations each verb exposes; the test suite checks that the
+# union covers the whole public surface.
 VERB_OPERATIONS = {
     "gen": ("christoffel_word", "cayley_graph", "christoffel_path"),
     "positions": ("letter_positions", "modular_complement"),
     "balance": ("make_word", "count_letter", "is_balanced", "is_circularly_balanced", "is_primitive"),
     "superimpose": (
-        "solve_bezout", "is_superimposable", "count_superimpositions", "canonical_shift",
-        "interval_offset", "reversal_superimposition_criterion", "oracle_superimposable",
-        "perfectly_superimposable",
+        "analyze", "solve_bezout", "is_superimposable", "count_superimpositions", "canonical_shift",
+        "interval_offset", "reversal_superimposition_criterion", "crosscheck",
+        "oracle_superimposable", "perfectly_superimposable",
     ),
     "decimate": ("make_word", "decimate"),
     "merge": (
-        "christoffel_word", "canonical_shift", "reverse", "conjugate", "make_word",
-        "perfectly_superimposable", "merge_superimposition", "collapse_merge",
+        "analyze", "canonical_witness", "christoffel_word", "canonical_shift", "reverse", "conjugate",
+        "make_word", "perfectly_superimposable", "merge_superimposition", "collapse_merge",
     ),
     "frobenius": ("frobenius_number", "nonrepresentable_count", "representable", "oracle_frobenius"),
     "boundary": ("boundary_word", "shifted_cayley"),
     "fraenkel": ("fraenkel_word", "letter_frequencies", "projection", "is_circularly_balanced"),
     "beatty": ("beatty_slice", "beatty_disjoint_exists", "oracle_beatty_disjoint"),
     "oracle-check": (
-        "oracle_superimposable", "is_superimposable", "count_superimpositions",
-        "canonical_shift", "conjugate", "reverse", "perfectly_superimposable",
+        "crosscheck", "oracle_superimposable", "analyze", "canonical_witness", "perfectly_superimposable",
     ),
 }
 
@@ -93,6 +88,20 @@ def _letters(spec: str, count: int) -> tuple[str, ...]:
     if len(parts) != count:
         raise CommandError(f"expected {count} letters, got {spec!r}")
     return parts
+
+
+def _word(args) -> Word:
+    """--word over the --letters order, or over its own letters sorted."""
+    letters = _letters(args.letters, len(set(args.letters.replace(",", "")))) if args.letters \
+        else tuple(sorted(set(args.word)))
+    return make_word(args.word, OrderedAlphabet(letters))
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational number: {text!r}") from None
 
 
 def _yesno(flag: bool) -> str:
@@ -132,9 +141,7 @@ def _cmd_positions(args):
 
 
 def _cmd_balance(args):
-    letters = _letters(args.letters, len(set(args.letters.replace(",", "")))) if args.letters \
-        else tuple(sorted(set(args.word)))
-    word = make_word(args.word, OrderedAlphabet(letters))
+    word = _word(args)
     balanced = is_balanced(word)
     circular = is_circularly_balanced(word)
     primitive = is_primitive(word) if len(word) > 0 else None
@@ -153,26 +160,21 @@ def _cmd_balance(args):
 
 def _cmd_superimpose(args):
     problem = SuperimpositionProblem(args.n, args.m, args.q, args.a, args.b)
-    sol = solve_bezout(problem)
-    ok = is_superimposable(problem)
+    report = analyze(problem)
+    sol, ok = report.bezout, report.superimposable
     payload = {"verb": "superimpose", "n": args.n, "m": args.m, "q": args.q,
                "alpha": args.a, "beta": args.b, "superimposable": ok,
                "x": sol.x, "y": sol.y, "z": sol.z}
     lines = [f"superimposable: {_yesno(ok)}", f"x={sol.x} y={sol.y} z={sol.z}"]
     status = OK
     if args.count:
-        payload["count"] = count_superimpositions(problem)
-        lines.append(f"count: {payload['count']}")
+        payload["count"] = report.count
+        lines.append(f"count: {report.count}")
     if args.shift:
-        if ok:
-            shift, reversed_form = canonical_shift(problem)
-            payload["canonical_shift"] = shift
-            payload["reversed"] = reversed_form
-            lines.append(f"canonical shift: {shift} (reversed second word)")
-        else:
-            payload["canonical_shift"] = None
-            payload["reversed"] = False
-            lines.append("canonical shift: none")
+        payload["canonical_shift"] = report.canonical_shift
+        payload["reversed"] = ok
+        lines.append(f"canonical shift: {report.canonical_shift} (reversed second word)" if ok
+                     else "canonical shift: none")
     if args.offsets:
         offsets = [interval_offset(r, sol, args.q, args.a, args.b) for r in range(args.a)]
         payload["offsets"] = offsets
@@ -184,15 +186,8 @@ def _cmd_superimpose(args):
         payload["mirror"] = mirror
         lines.append(f"mirror criterion: {_yesno(mirror)}")
     if args.oracle:
-        result = oracle_superimposable(problem.first_word(), problem.second_word())
+        result, agree = crosscheck(problem)
         oracle_count = len(result.witnesses)
-        fast_count = count_superimpositions(problem)
-        agree = result.decision == ok and oracle_count == fast_count
-        if ok and agree:
-            u = problem.first_word()
-            v = problem.second_word()
-            shift, _ = canonical_shift(problem)
-            agree = perfectly_superimposable(u, conjugate(reverse(v), shift))
         payload["oracle_decision"] = result.decision
         payload["oracle_count"] = oracle_count
         payload["oracle_agrees"] = agree
@@ -203,9 +198,7 @@ def _cmd_superimpose(args):
 
 
 def _cmd_decimate(args):
-    letters = _letters(args.letters, len(set(args.letters.replace(",", "")))) if args.letters \
-        else tuple(sorted(set(args.word)))
-    word = make_word(args.word, OrderedAlphabet(letters))
+    word = _word(args)
     spec = DecimationSpec(args.p, args.q, Direction(args.direction), args.letter)
     out = decimate(word, spec)
     payload = {"verb": "decimate", "word": word.symbols, "letter": args.letter,
@@ -228,18 +221,17 @@ def _cmd_merge(args):
     if args.n is None or args.a is None or args.b is None:
         raise CommandError("pipeline mode needs --n, --a and --b")
     problem = SuperimpositionProblem.from_letter_counts(args.n, args.a, args.n, args.b)
-    if not is_superimposable(problem):
+    report = analyze(problem)
+    if not report.superimposable:
         raise CommandError(f"C({args.n},{args.a}) and C({args.n},{args.b}) are not superimposable")
-    u = christoffel_word(ChristoffelSpec(args.n, args.a, mark_u, filler))
-    v = christoffel_word(ChristoffelSpec(args.n, args.b, mark_v, filler))
-    shift, _ = canonical_shift(problem)
-    witness = conjugate(reverse(v), shift)
+    u, witness = canonical_witness(problem, mark_u, mark_v, filler)
+    v = problem.second_word(mark_v, filler)
     if not perfectly_superimposable(u, witness):
         raise CommandError("internal: canonical witness failed to superimpose", ORACLE_MISMATCH)
     merged = merge_superimposition(u, witness)
     collapsed = collapse_merge(merged, filler)
     payload = {"verb": "merge", "n": args.n, "a": args.a, "b": args.b,
-               "u": u.symbols, "v": v.symbols, "shift": shift, "witness": witness.symbols,
+               "u": u.symbols, "v": v.symbols, "shift": report.canonical_shift, "witness": witness.symbols,
                "merged": merged.symbols, "collapsed": collapsed.symbols}
     lines = [f"u: {u.symbols}", f"v: {v.symbols}", f"witness: {witness.symbols}",
              f"merged: {merged.symbols}", f"collapsed: {collapsed.symbols}"]
@@ -312,7 +304,7 @@ def _cmd_beatty(args):
     if slice_mode:
         if None in (args.q, args.lo, args.hi):
             raise CommandError("slice mode needs --p, --q, --lo and --hi")
-        spec = BeattySpec(args.p, args.q, Fraction(args.offset))
+        spec = BeattySpec(args.p, args.q, args.offset)
         values = beatty_slice(spec, args.lo, args.hi)
         payload = {"verb": "beatty", "p": args.p, "q": args.q, "offset": str(spec.offset),
                    "lo": args.lo, "hi": args.hi, "values": values}
@@ -349,16 +341,8 @@ def _cmd_oracle_check(args):
         for a_count in (a for a in range(1, n + 1) if gcd(a, n) == 1):
             for b_count in (b for b in range(1, m + 1) if gcd(b, m) == 1):
                 problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
-                u, v = problem.first_word(), problem.second_word()
-                result = oracle_superimposable(u, v)
-                fast = is_superimposable(problem)
-                count = count_superimpositions(problem)
-                ok = fast == result.decision and count == len(result.witnesses)
-                if fast and ok:
-                    shift, _ = canonical_shift(problem)
-                    ok = perfectly_superimposable(u, conjugate(reverse(v), shift))
                 checked += 1
-                if not ok:
+                if not crosscheck(problem)[1]:
                     disagreements.append([n, m, a_count, b_count])
     payload = {"verb": "oracle-check", "max_n": args.max_n,
                "unequal_max": args.unequal_max, "instances": checked,
@@ -446,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("beatty", _cmd_beatty, help="Beatty sequence slices and disjointness")
     p.add_argument("--p", type=int, default=None, help="slope numerator (slice mode)")
     p.add_argument("--q", type=int, default=None, help="slope denominator (slice mode)")
-    p.add_argument("--offset", default="0", help="rational offset, e.g. 1/2 (slice mode)")
+    p.add_argument("--offset", type=_fraction, default="0", help="rational offset, e.g. 1/2 (slice mode)")
     p.add_argument("--lo", type=int, default=None)
     p.add_argument("--hi", type=int, default=None)
     p.add_argument("--p1", type=int, default=None, help="first slope numerator (disjoint mode)")
@@ -464,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -481,10 +465,6 @@ def run(argv=None) -> int:
         for line in lines:
             print(line)
     return status
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .christoffel import modular_inverse
+from .christoffel import windowed_bezout
 from .words import OrderedAlphabet, Word
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
@@ -77,9 +77,4 @@ def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     p = gcd(p1, p2)
     q = gcd(q1, q2)
     u1, u2 = q1 // q, q2 // q
-    rhs = p - 2 * u1 * u2 * (q - 1)
-    y = (rhs * modular_inverse(u2, u1)) % u1 if u1 > 1 else 0
-    if y == 0:
-        y = u1
-    x = (rhs - y * u2) // u1
-    return x >= 1
+    return windowed_bezout(u1, u2, p - 2 * u1 * u2 * (q - 1))[0] >= 1

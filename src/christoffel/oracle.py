@@ -2,16 +2,18 @@
 
 Everything here re-derives its answer by exhaustion over residues, shifts, or
 sieves, sharing no arithmetic with the closed-form routines it is used to
-check.
+check.  `crosscheck` is the one place where the superimposition fast path is
+compared against its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import floor, lcm
 
 from .money import CoinPair
+from .superimpose import SuperimpositionProblem, analyze, canonical_witness, perfectly_superimposable
 from .words import Word
 
 
@@ -69,6 +71,20 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         if rotated & fixed == 0:
             witnesses.append(k)
     return OracleResult(bool(witnesses), tuple(witnesses), m)
+
+
+def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:
+    """The oracle's verdict on a problem, and whether the fast path agrees with it.
+
+    Agreement means the same decision, the same number of admissible shifts,
+    and, when superimposable, a canonical witness that passes the validator.
+    """
+    result = oracle_superimposable(problem.first_word(), problem.second_word())
+    report = analyze(problem)
+    agrees = report.superimposable == result.decision and report.count == len(result.witnesses)
+    if agrees and report.superimposable:
+        agrees = perfectly_superimposable(*canonical_witness(problem))
+    return result, agrees
 
 
 def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:

@@ -10,9 +10,9 @@ everything by exhaustion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse
+from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse, windowed_bezout
 from .words import OrderedAlphabet, Word, conjugate, reverse
 
 
@@ -81,19 +81,26 @@ def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
     sign of x.  z = alpha - y is coprime to alpha and drives the interval
     bookkeeping of the count.
     """
-    a, b, q = problem.alpha, problem.beta, problem.q
-    rhs = problem.p - 2 * a * b * (q - 1)
-    y = (rhs * modular_inverse(b, a)) % a if a > 1 else 0
-    if y == 0:
-        y = a
-    x = (rhs - y * b) // a
-    assert x * a + y * b == rhs
+    a, b = problem.alpha, problem.beta
+    x, y = windowed_bezout(a, b, problem.p - 2 * a * b * (problem.q - 1))
     return BezoutSolution(x, y, a - y)
 
 
 def is_superimposable(problem: SuperimpositionProblem) -> bool:
     """True iff some cyclic shift separates the two marked position sets."""
     return solve_bezout(problem).x >= 1
+
+
+def _count(problem: SuperimpositionProblem, sol: BezoutSolution) -> int:
+    if sol.x < 1:
+        return 0
+    x, y, a, b = sol.x, sol.y, problem.alpha, problem.beta
+    base = x * y if x <= b else x * a + y * b - a * b
+    return base * (max(problem.n, problem.m) // problem.p)
+
+
+def _shift(problem: SuperimpositionProblem) -> int:
+    return (1 - modular_inverse(problem.q, problem.p)) % problem.m
 
 
 def count_superimpositions(problem: SuperimpositionProblem) -> int:
@@ -104,12 +111,7 @@ def count_superimpositions(problem: SuperimpositionProblem) -> int:
     max(n, m) / gcd(n, m).  Shifts are counted on the longer operand (the
     operands are swapped internally when needed), matching the oracle.
     """
-    sol = solve_bezout(problem)
-    if sol.x < 1:
-        return 0
-    x, y, a, b = sol.x, sol.y, problem.alpha, problem.beta
-    base = x * y if x <= b else x * a + y * b - a * b
-    return base * (max(problem.n, problem.m) // problem.p)
+    return _count(problem, solve_bezout(problem))
 
 
 def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
@@ -120,8 +122,7 @@ def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
     """
     if not is_superimposable(problem):
         raise ValueError("the two words are not superimposable; no shift exists")
-    r = modular_inverse(problem.q, problem.p)
-    return (1 - r) % problem.m, True
+    return _shift(problem), True
 
 
 def canonical_shift_lifts(problem: SuperimpositionProblem) -> tuple[int, ...]:
@@ -167,20 +168,17 @@ class SuperimpositionReport:
     bezout: BezoutSolution
     count: int
     canonical_shift: int | None
-    reversed_form: bool
 
 
 def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:
-    """Run the full fast path: decision, count, and canonical witness shift."""
+    """Run the full fast path from one solve: decision, count, and canonical witness shift."""
     sol = solve_bezout(problem)
     ok = sol.x >= 1
-    shift = canonical_shift(problem)[0] if ok else None
     return SuperimpositionReport(
         superimposable=ok,
         bezout=sol,
-        count=count_superimpositions(problem),
-        canonical_shift=shift,
-        reversed_form=ok,
+        count=_count(problem, sol),
+        canonical_shift=_shift(problem) if ok else None,
     )
 
 
@@ -201,17 +199,16 @@ def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
 def perfectly_superimposable(u: Word, v: Word) -> bool:
     """True iff the marked positions of u and v are disjoint as periodic sets.
 
-    The words repeat with their own lengths as periods; disjointness is
-    decided on the residues modulo lcm(len(u), len(v)).
+    The words repeat with their own lengths n and m as periods.  By the
+    Chinese remainder theorem, marks at i (mod n) and j (mod m) meet exactly
+    when i = j (mod gcd(n, m)), so the test runs in O(n + m).
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
     mark_u, mark_v, _ = _marked_letters(u, v)
-    n, m = len(u), len(v)
-    period = lcm(n, m)
-    res_u = {i + n * t for i, c in enumerate(u.symbols) if c == mark_u for t in range(period // n)}
-    res_v = {i + m * t for i, c in enumerate(v.symbols) if c == mark_v for t in range(period // m)}
-    return not (res_u & res_v)
+    g = gcd(len(u), len(v))
+    res_u = {i % g for i, c in enumerate(u.symbols) if c == mark_u}
+    return not any(j % g in res_u for j, c in enumerate(v.symbols) if c == mark_v)
 
 
 def merge_superimposition(u: Word, v: Word) -> Word:
@@ -255,11 +252,7 @@ def reversal_superimposition_criterion(n: int, alpha: int, beta: int) -> bool:
         raise ValueError("marked counts must lie in [1, n]")
     if gcd(alpha, beta) != 1:
         raise ValueError(f"alpha and beta must be coprime, got {alpha}, {beta}")
-    y = (n * modular_inverse(beta, alpha)) % alpha if alpha > 1 else 0
-    if y == 0:
-        y = alpha
-    x = (n - y * beta) // alpha
-    return x >= 1
+    return windowed_bezout(alpha, beta, n)[0] >= 1
 
 
 def canonical_witness(problem: SuperimpositionProblem, mark_u: str = "a", mark_v: str = "b",

@@ -13,7 +13,9 @@ from christoffel import (
     is_primitive,
     letter_positions,
     modular_complement,
+    modular_inverse,
     reverse,
+    windowed_bezout,
 )
 
 from conftest import cw, scan_positions
@@ -40,6 +42,21 @@ def test_modular_complement_errors():
         modular_complement(2, 4)
     with pytest.raises(ValueError):
         modular_complement(1, 1)
+
+
+def test_modular_inverse_error_names_the_gcd():
+    with pytest.raises(ValueError, match=r"6 has no inverse modulo 9 \(gcd 3\)"):
+        modular_inverse(6, 9)
+    assert modular_inverse(5, 1) == 0
+
+
+def test_windowed_bezout_is_the_unique_windowed_solution():
+    for a in range(1, 16):
+        for b in (b for b in range(1, 16) if gcd(a, b) == 1):
+            for rhs in range(-60, 60):
+                x, y = windowed_bezout(a, b, rhs)
+                assert a * x + b * y == rhs
+                assert 1 <= y <= a
 
 
 def test_spec_validation():

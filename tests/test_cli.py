@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +26,7 @@ LIBRARY_OPERATIONS = {
     # fraenkel / beatty
     "fraenkel_word", "beatty_slice", "beatty_disjoint_exists", "letter_frequencies",
     # oracle
-    "oracle_superimposable", "oracle_frobenius", "oracle_beatty_disjoint",
+    "oracle_superimposable", "oracle_frobenius", "oracle_beatty_disjoint", "crosscheck",
 }
 
 
@@ -245,6 +248,13 @@ def test_beatty_slice(capsys):
     assert payload["values"] == [-1, 1, 4, 6]
 
 
+def test_beatty_bad_offset_is_usage_error(capsys):
+    for offset in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["beatty", "--p", "3", "--q", "2", "--lo", "1", "--hi", "4", "--offset", offset])
+        assert exc.value.code == 2
+
+
 def test_beatty_disjoint(capsys):
     status, out, _ = run_cli(capsys, "beatty", "--p1", "13", "--q1", "4",
                              "--p2", "13", "--q2", "3", "--oracle")
@@ -292,10 +302,24 @@ def test_boolean_false_still_exits_zero(capsys):
 
 
 def test_oracle_disagreement_exits_four(capsys, monkeypatch):
-    import christoffel.cli as cli_module
+    import dataclasses
 
-    monkeypatch.setattr(cli_module, "count_superimpositions", lambda problem: 999)
+    import christoffel.oracle as oracle_module
+
+    real = oracle_module.analyze
+    monkeypatch.setattr(oracle_module, "analyze",
+                        lambda problem: dataclasses.replace(real(problem), count=999))
     status, out, _ = run_cli(capsys, "superimpose", "--n", "13", "--a", "4",
                              "--m", "13", "--b", "3", "--oracle")
     assert status == 4
     assert "DISAGREE" in out
+
+
+def test_oracle_check_holds_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(christoffel.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "christoffel.cli", "oracle-check", "--max-n", "12", "--unequal-max", "8"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ": 0 disagreements" in done.stdout

@@ -2,10 +2,13 @@ from math import gcd
 
 import pytest
 
+import christoffel.oracle as oracle_module
 from christoffel import (
     CoinPair,
+    SuperimpositionProblem,
     alphabet,
     conjugate,
+    crosscheck,
     make_word,
     oracle_frobenius,
     oracle_superimposable,
@@ -79,3 +82,15 @@ def test_oracle_frobenius_examples():
 def test_oracle_frobenius_rejects_unit_coin():
     with pytest.raises(ValueError):
         oracle_frobenius(CoinPair(1, 5))
+
+
+def test_crosscheck_catches_a_bad_witness(monkeypatch):
+    real = oracle_module.canonical_witness
+
+    def shifted_witness(problem):
+        u, v = real(problem)
+        return u, conjugate(v, 1)
+
+    monkeypatch.setattr(oracle_module, "canonical_witness", shifted_witness)
+    # C(13,4) and C(13,3) admit 3 of 13 shifts; rotating the witness by one breaks it.
+    assert not crosscheck(SuperimpositionProblem(13, 13, 1, 4, 3))[1]

@@ -1,7 +1,10 @@
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import christoffel.superimpose as superimpose_module
 from christoffel import (
     BezoutSolution,
     ChristoffelSpec,
@@ -135,6 +138,13 @@ def test_perfectly_superimposable_unequal_periods():
     res_v = {2, 5}
     assert bool(res_u & res_v)
     assert not perfectly_superimposable(u, v)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="ax", min_size=1, max_size=40), st.text(alphabet="bx", min_size=1, max_size=40))
+def test_perfectly_superimposable_matches_oracle_on_arbitrary_words(u, v):
+    u, v = make_word(u, alphabet("ax")), make_word(v, alphabet("bx"))
+    assert perfectly_superimposable(u, v) == (0 in oracle_superimposable(u, v).witnesses)
 
 
 def test_perfectly_superimposable_alphabet_mismatch():
@@ -406,8 +416,25 @@ def test_analyze_report():
     assert report.bezout == BezoutSolution(1, 3, 1)
     assert report.count == 3
     assert report.canonical_shift == 0
-    assert report.reversed_form
+    assert report.superimposable
     negative = analyze(SuperimpositionProblem(3, 4, 1, 1, 1))
     assert not negative.superimposable
     assert negative.count == 0
     assert negative.canonical_shift is None
+
+
+def test_analyze_solves_once(monkeypatch):
+    calls = []
+    real = superimpose_module.windowed_bezout
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(superimpose_module, "windowed_bezout", counting)
+    for problem in (SuperimpositionProblem(13, 13, 1, 4, 3), SuperimpositionProblem(3, 4, 1, 1, 1)):
+        calls.clear()
+        report = analyze(problem)
+        assert len(calls) == 1
+        assert report.count == count_superimpositions(problem)
+        assert report.canonical_shift == (canonical_shift(problem)[0] if report.superimposable else None)
