@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -81,7 +82,9 @@ class PositionSet:
             raise ValueError(f"residues must lie in [0, {self.modulus})")
 
     def __contains__(self, r):
-        return r % self.modulus in set(self.residues)
+        r %= self.modulus
+        i = bisect_left(self.residues, r)
+        return i < len(self.residues) and self.residues[i] == r
 
     def __iter__(self):
         return iter(self.residues)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .christoffel import ChristoffelSpec, cayley_graph
+from .christoffel import ChristoffelSpec, cayley_graph, modular_inverse
 from .words import Word
 
 
@@ -39,10 +39,15 @@ def nonrepresentable_count(coins: CoinPair) -> int:
 
 
 def representable(coins: CoinPair, amount: int) -> bool:
-    """True iff amount = a*x + b*y for some nonnegative x, y."""
+    """True iff amount = a*x + b*y for some nonnegative x, y.
+
+    The smallest x >= 0 with a*x = amount (mod b) is amount * a^-1 mod b; the
+    amount is payable iff that x leaves a nonnegative remainder for y.
+    """
     if amount < 0:
         raise ValueError("amounts are nonnegative")
-    return any((amount - coins.a * x) % coins.b == 0 for x in range(amount // coins.a + 1))
+    x = amount * modular_inverse(coins.a, coins.b) % coins.b
+    return coins.a * x <= amount
 
 
 @dataclass(frozen=True)

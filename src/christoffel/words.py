@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,8 @@ class Word:
     alphabet: OrderedAlphabet
 
     def __post_init__(self):
+        if set(self.symbols) <= set(self.alphabet.letters):
+            return
         for i, c in enumerate(self.symbols):
             if c not in self.alphabet:
                 raise ValueError(
@@ -91,31 +92,111 @@ def count_letter(w: Word, letter: str) -> int:
     return w.symbols.count(letter)
 
 
-def _balanced_symbols(s: str) -> bool:
-    # Every pair of equal-length factors must have letter counts within 1 of
-    # each other; equivalently max-min of sliding-window counts is <= 1 for
-    # every window length and letter.
+def _letters_to_test(s: str) -> set[str]:
+    """The letters whose 0/1 indicators decide (circular) balance of `s`.
+
+    Balance holds iff it holds for every letter's indicator.  With exactly two
+    letters the indicators are complements, so testing the rarer one suffices.
+    """
+    letters = set(s)
+    if len(letters) == 2:
+        letters.remove(max(letters, key=s.count))
+    return letters
+
+
+def _hull(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
+    """Monotone chain over points sorted by x: the upper hull for sign 1, the lower for -1."""
+    hull: list[tuple[int, int]] = []
+    for x, y in points:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if sign * ((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) < 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
+def _in_strip(upper: list[tuple[int, int]], lower: list[tuple[int, int]]) -> bool:
+    """True iff some slope p/q puts every q*y - p*x of the hulled points in a window narrower than q.
+
+    The width max(q*y - p*x) - min(q*y - p*x), as a function of the slope, is
+    convex and bends only at the hulls' edge slopes, so testing those suffices.
+    They are visited in increasing order: the upper chain's from its right
+    end, the lower chain's from its left, so the upper and lower extreme
+    vertices each move one way only and the pass is linear.
+    """
+    i, j = len(upper) - 1, 0
+    while i > 0 or j < len(lower) - 1:
+        up = low = None
+        if i > 0:
+            (x0, y0), (x1, y1) = upper[i - 1], upper[i]
+            up = (y1 - y0, x1 - x0)
+        if j < len(lower) - 1:
+            (x0, y0), (x1, y1) = lower[j], lower[j + 1]
+            low = (y1 - y0, x1 - x0)
+        if low is None or (up is not None and up[0] * low[1] <= low[0] * up[1]):
+            p, q = up
+            i -= 1
+        else:
+            p, q = low
+            j += 1
+        (xu, yu), (xl, yl) = upper[i], lower[j]
+        if q * (yu - yl) - p * (xu - xl) < q:
+            return True
+    return False
+
+
+def _indicator_balanced(s: str, letter: str) -> bool:
+    """True iff the 0/1 indicator of `letter` in `s` is balanced.
+
+    With h_i the count of `letter` in the first i symbols, the indicator is
+    balanced iff the points (i, h_i) fit in a digital straight segment: some
+    slope p/q keeps every q*h_i - p*i inside a window narrower than q.  Only
+    the convex hulls matter, and their corners sit where a run of `letter`
+    ends (upper hull) or starts (lower hull), so the points are read off the
+    runs.
+    """
     n = len(s)
-    if n < 2:
-        return True
-    codes = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-    for letter in np.unique(codes):
-        occ = np.concatenate(([0], np.cumsum(codes == letter)))
-        for width in range(1, n):
-            windows = occ[width:] - occ[:-width]
-            if int(windows.max()) - int(windows.min()) > 1:
-                return False
-    return True
+    upper, lower = [(0, 0)], [(0, 0)]
+    h = 0
+    for run in re.finditer(re.escape(letter) + "+", s):
+        start, end = run.span()
+        if start:
+            lower.append((start, h))
+        h += end - start
+        if end < n:
+            upper.append((end, h))
+    upper.append((n, h))
+    lower.append((n, h))
+    return _in_strip(_hull(upper, 1), _hull(lower, -1))
+
+
+def _indicator_circularly_balanced(s: str, letter: str) -> bool:
+    """True iff the 0/1 indicator of `letter` in `s` is circularly balanced.
+
+    With k occurrences in length n, that holds iff the indicator is a
+    conjugate of the mechanical word whose i-th letter is
+    (i+1)*k//n - i*k//n, a conjugate of C(n, k) or of its power
+    (Berstel, Lauve, Reutenauer, Saliola 2008).
+    """
+    n, k = len(s), s.count(letter)
+    marks = ["0"] * n
+    for j in range(1, k + 1):
+        marks[(j * n - 1) // k] = "1"  # the smallest i with (i+1)*k//n = j
+    mech = "".join(marks)
+    indicator = s.translate({ord(c): "1" if c == letter else "0" for c in set(s)})
+    return indicator in mech + mech
 
 
 def is_balanced(w: Word) -> bool:
     """True iff all equal-length factors of `w` have letter counts within 1."""
-    return _balanced_symbols(w.symbols)
+    return all(_indicator_balanced(w.symbols, c) for c in _letters_to_test(w.symbols))
 
 
 def is_circularly_balanced(w: Word) -> bool:
     """True iff ww is balanced, i.e. `w` is balanced read cyclically."""
-    return _balanced_symbols(w.symbols + w.symbols)
+    return all(_indicator_circularly_balanced(w.symbols, c) for c in _letters_to_test(w.symbols))
 
 
 def reverse(w: Word) -> Word:
@@ -139,13 +220,11 @@ def conjugate(w: Word, k: int) -> Word:
 
 def is_primitive(w: Word) -> bool:
     """True iff `w` is not a power of a strictly shorter word."""
-    n = len(w)
-    if n == 0:
+    s = w.symbols
+    if not s:
         raise ValueError("primitivity is undefined for the empty word")
-    for d in range(1, n):
-        if n % d == 0 and w.symbols[:d] * (n // d) == w.symbols:
-            return False
-    return True
+    # w is a proper power iff it occurs in ww at a shift strictly inside (0, n).
+    return (s + s).find(s, 1) == len(s)
 
 
 def projection(w: Word, letter: str, filler: str) -> Word:

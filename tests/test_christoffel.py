@@ -4,6 +4,7 @@ import pytest
 
 from christoffel import (
     ChristoffelSpec,
+    PositionSet,
     Step,
     cayley_graph,
     christoffel_path,
@@ -90,6 +91,14 @@ def test_positions_match_word_scan():
                 continue
             word = cw(n, alpha)
             assert set(letter_positions(ChristoffelSpec(n, alpha))) == scan_positions(word, "a"), (n, alpha)
+
+
+def test_position_membership_matches_scan():
+    for n, alpha in [(1, 1), (8, 5), (13, 4), (12, 8), (30, 30), (101, 37)]:
+        positions = letter_positions(ChristoffelSpec(n, alpha))
+        for r in range(-2 * n, 2 * n):
+            assert (r in positions) == any((r - p) % n == 0 for p in positions.residues), (n, alpha, r)
+    assert 3 not in PositionSet(5, ())
 
 
 def test_positions_match_word_scan_for_powers():

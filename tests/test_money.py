@@ -45,6 +45,19 @@ def test_representable_examples():
     assert representable(CoinPair(8, 5), 28)
 
 
+def test_representable_matches_scan():
+    for a in range(1, 31):
+        for b in range(1, 31):
+            if gcd(a, b) != 1:
+                continue
+            coins = CoinPair(a, b)
+            for amount in range(a * b + 6):
+                scan = any((amount - a * x) % b == 0 for x in range(amount // a + 1))
+                assert representable(coins, amount) == scan, (a, b, amount)
+    with pytest.raises(ValueError):
+        representable(CoinPair(2, 5), -1)
+
+
 def test_boundary_word_examples():
     assert boundary_word(CoinPair(8, 5)).word.symbols == "ααβααβαβααβαβ"
     assert boundary_word(CoinPair(1, 1)).word.symbols == "αβ"

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import christoffel
 from christoffel import (
+    ChristoffelSpec,
     DecimationSpec,
     Direction,
     OrderedAlphabet,
     alphabet,
+    christoffel_word,
     conjugate,
     count_letter,
     decimate,
@@ -49,6 +56,13 @@ def test_make_word_rejects_foreign_symbol():
         make_word("ab", AX)
 
 
+def test_foreign_symbol_message_names_first_bad_index():
+    s = "ax" * 5000 + "z" + "xa" * 5000 + "b"
+    with pytest.raises(ValueError) as info:
+        make_word(s, AX)
+    assert str(info.value) == "symbol 'z' at index 10000 is not in alphabet ('a', 'x')"
+
+
 def test_count_letter():
     assert count_letter(make_word("", AX), "a") == 0
     assert count_letter(make_word("1213121", DIGITS), "1") == 4
@@ -71,12 +85,46 @@ def test_circular_balance_examples():
 
 
 def test_balance_matches_brute_force():
-    for s in words_upto("ab", 10):
+    for s in words_upto("ab", 13):
         w = make_word(s, alphabet("ab"))
         assert is_balanced(w) == brute_balanced(s), s
-    for s in words_upto("abc", 7):
+    for s in words_upto("abc", 8):
         w = make_word(s, alphabet("abc"))
         assert is_balanced(w) == brute_balanced(s), s
+
+
+def test_circular_balance_matches_brute_force():
+    for s in words_upto("ab", 12):
+        w = make_word(s, alphabet("ab"))
+        assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
+    for s in words_upto("abc", 7):
+        w = make_word(s, alphabet("abc"))
+        assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
+
+
+def test_predicates_on_long_words():
+    n = 10**4
+    word = christoffel_word(ChristoffelSpec(n, 3001))
+    assert is_balanced(word)
+    assert is_primitive(word)
+    for k in range(0, n, 997):
+        assert is_circularly_balanced(conjugate(word, k)), k
+    dense = christoffel_word(ChristoffelSpec(n, 7001))
+    assert "aa" in dense.symbols
+    assert not is_balanced(make_word(dense.symbols + "xx", AX))
+    power = christoffel_word(ChristoffelSpec(n, 3000))  # the 1000th power of C(10, 3)
+    assert not is_primitive(power)
+    assert is_balanced(power) and is_circularly_balanced(power)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(christoffel.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, christoffel; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_circular_balance_implies_balance():
