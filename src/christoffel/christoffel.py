@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .words import OrderedAlphabet, Word
+from .words import OrderedAlphabet, Word, _christoffel_symbols
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -98,38 +98,23 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
 
     Letter i is low exactly when (i+1)*beta advances modulo n past i*beta
     without wrapping, beta = n - alpha.  Without coprimality the same rule
-    yields the power (C(n/r, alpha/r))**r.
+    yields the power (C(n/r, alpha/r))**r.  The word is built by Euclid's
+    algorithm on (alpha, beta), one substitution per partial quotient.
     """
-    n, alpha = spec.n, spec.alpha
-    if alpha == n:
-        return Word(spec.low * n, spec.alphabet)
-    beta = spec.beta
-    prev = 0
-    out = []
-    for i in range(n):
-        cur = ((i + 1) * beta) % n
-        out.append(spec.low if cur > prev else spec.high)
-        prev = cur
-    return Word("".join(out), spec.alphabet)
+    alphabet = spec.alphabet  # validates the letters before they reach str.replace
+    return Word(_christoffel_symbols(spec.n, spec.alpha, spec.low, spec.high), alphabet)
 
 
 def letter_positions(spec: ChristoffelSpec) -> PositionSet:
     """Positions of the low letter in C(n, alpha), as residues modulo n.
 
-    For coprime (n, alpha) these are the alpha multiples of the modular
-    complement of alpha; a power with gcd r > 1 translates the primitive
-    word's positions by the multiples of n/r.
+    The k-th low letter (k = 0 .. alpha-1) sits at floor(k*n/alpha), for
+    primitive words, their powers and alpha = n alike.  For coprime
+    (n, alpha) these are the alpha multiples of the modular complement of
+    alpha.
     """
     n, alpha = spec.n, spec.alpha
-    if alpha == n:
-        return PositionSet(n, tuple(range(n)))
-    r = gcd(n, alpha)
-    if r == 1:
-        abar = modular_complement(alpha, n)
-        return PositionSet(n, tuple((k * abar) % n for k in range(alpha)))
-    base = letter_positions(ChristoffelSpec(n // r, alpha // r, spec.low, spec.high))
-    period = n // r
-    return PositionSet(n, tuple(b + i * period for i in range(r) for b in base))
+    return PositionSet(n, tuple(map(alpha.__rfloordiv__, range(0, alpha * n, n))))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -172,19 +173,43 @@ def _indicator_balanced(s: str, letter: str) -> bool:
     return _in_strip(_hull(upper, 1), _hull(lower, -1))
 
 
+def _christoffel_symbols(n: int, alpha: int, low: str, high: str) -> str:
+    """The Christoffel word C(n, alpha) (or its power) as a string, 0 <= alpha <= n.
+
+    With r = gcd(n, alpha) it is the r-th power of the primitive word with
+    (a, b) = (alpha/r, (n - alpha)/r) letters.  That word follows Euclid's
+    algorithm on (a, b): when a >= b, with k = a // b, it is the image of the
+    word for (a - k*b, b) under high -> low**k high; otherwise, with
+    k = b // a, the image of the word for (a, b - k*a) under
+    low -> low high**k (Berstel, Lauve, Reutenauer, Saliola 2008).  The
+    recursion ends at a single letter, and each step is one str.replace.
+    """
+    r = gcd(n, alpha)
+    a, b = alpha // r, (n - alpha) // r
+    steps = []
+    while a and b:
+        if a >= b:
+            k, a = divmod(a, b)
+            steps.append((high, low * k + high))
+        else:
+            k, b = divmod(b, a)
+            steps.append((low, low + high * k))
+    s = low if a else high
+    for old, new in reversed(steps):
+        s = s.replace(old, new)
+    return s * r
+
+
 def _indicator_circularly_balanced(s: str, letter: str) -> bool:
     """True iff the 0/1 indicator of `letter` in `s` is circularly balanced.
 
     With k occurrences in length n, that holds iff the indicator is a
     conjugate of the mechanical word whose i-th letter is
-    (i+1)*k//n - i*k//n, a conjugate of C(n, k) or of its power
+    (i+1)*k//n - i*k//n, which is C(n, n - k) over (0 < 1) or its power
     (Berstel, Lauve, Reutenauer, Saliola 2008).
     """
     n, k = len(s), s.count(letter)
-    marks = ["0"] * n
-    for j in range(1, k + 1):
-        marks[(j * n - 1) // k] = "1"  # the smallest i with (i+1)*k//n = j
-    mech = "".join(marks)
+    mech = _christoffel_symbols(n, n - k, "0", "1")
     indicator = s.translate({ord(c): "1" if c == letter else "0" for c in set(s)})
     return indicator in mech + mech
 
@@ -236,7 +261,7 @@ def projection(w: Word, letter: str, filler: str) -> Word:
         raise ValueError(f"letter {letter!r} not in alphabet {w.alphabet.letters}")
     if filler in w.alphabet:
         raise ValueError(f"filler {filler!r} collides with the alphabet {w.alphabet.letters}")
-    out = "".join(c if c == letter else filler for c in w.symbols)
+    out = w.symbols.translate({ord(c): filler for c in w.alphabet.letters if c != letter})
     return Word(out, OrderedAlphabet((letter, filler)))
 
 
@@ -272,16 +297,14 @@ def decimate(w: Word, spec: DecimationSpec) -> Word:
     """
     if spec.letter not in w.alphabet:
         raise ValueError(f"letter {spec.letter!r} not in alphabet {w.alphabet.letters}")
-    occurrences = [i for i, c in enumerate(w.symbols) if c == spec.letter]
-    n_occ = len(occurrences)
-    doomed = set()
-    for block in range(n_occ // spec.q + 1):
-        for offset in range(spec.p):
-            if spec.direction is Direction.LEFT_TO_RIGHT:
-                j = block * spec.q + 1 + offset
-            else:
-                j = n_occ - block * spec.q - offset
-            if 1 <= j <= n_occ:
-                doomed.add(occurrences[j - 1])
-    kept = "".join(c for i, c in enumerate(w.symbols) if i not in doomed)
-    return Word(kept, w.alphabet)
+    # Occurrence j of the letter sits between pieces j-1 and j; it is rejoined
+    # as "" when deleted and as the letter when kept.
+    pieces = w.symbols.split(spec.letter)
+    n_occ = len(pieces) - 1
+    joiners = (([""] * spec.p + [spec.letter] * (spec.q - spec.p)) * (n_occ // spec.q + 1))[:n_occ]
+    if spec.direction is Direction.RIGHT_TO_LEFT:
+        joiners.reverse()
+    out = [""] * (2 * n_occ + 1)
+    out[::2] = pieces
+    out[1::2] = joiners
+    return Word("".join(out), w.alphabet)

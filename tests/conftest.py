@@ -14,6 +14,20 @@ def cw(n, alpha, low="a", high="x"):
     return christoffel_word(ChristoffelSpec(n, alpha, low, high))
 
 
+def brute_christoffel(n, alpha, low="a", high="x"):
+    """C(n, alpha) letter by letter: i is low iff (i+1)*beta advances mod n without wrapping."""
+    if alpha == n:
+        return low * n
+    beta = n - alpha
+    prev = 0
+    out = []
+    for i in range(n):
+        cur = ((i + 1) * beta) % n
+        out.append(low if cur > prev else high)
+        prev = cur
+    return "".join(out)
+
+
 def scan_positions(word, letter):
     """Letter positions read off the word symbols directly."""
     return {i for i, c in enumerate(word.symbols) if c == letter}

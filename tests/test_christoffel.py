@@ -19,7 +19,7 @@ from christoffel import (
     windowed_bezout,
 )
 
-from conftest import cw, scan_positions
+from conftest import brute_christoffel, cw, scan_positions
 
 
 def test_modular_complement_examples():
@@ -75,6 +75,31 @@ def test_christoffel_word_examples():
     assert cw(4, 2).symbols == "axax"
     assert cw(5, 5).symbols == "aaaaa"
     assert cw(1, 1).symbols == "a"
+
+
+def test_christoffel_word_and_positions_match_brute_force():
+    # Every word up to length 300: primitive, powers and alpha = n.
+    for n in range(1, 301):
+        for alpha in range(1, n + 1):
+            spec = ChristoffelSpec(n, alpha)
+            word = christoffel_word(spec)
+            assert word.symbols == brute_christoffel(n, alpha), (n, alpha)
+            assert tuple(letter_positions(spec)) == tuple(sorted(scan_positions(word, "a"))), (n, alpha)
+
+
+def test_christoffel_word_and_positions_at_large_n():
+    n = 100_003
+    cases = [
+        (n, 37_001),  # primitive
+        (7 * 14_281, 7 * 5_003),  # a 7th power
+        (n, 1),
+        (n, n - 1),
+    ]
+    for length, alpha in cases:
+        spec = ChristoffelSpec(length, alpha, "0", "1")
+        word = christoffel_word(spec)
+        assert word.symbols == brute_christoffel(length, alpha, "0", "1"), (length, alpha)
+        assert tuple(letter_positions(spec)) == tuple(sorted(scan_positions(word, "0"))), (length, alpha)
 
 
 def test_letter_positions_examples():

@@ -267,6 +267,34 @@ def _reference_decimate(s, p, q, direction, letter):
     return "".join(c for i, c in enumerate(s) if i not in doomed)
 
 
+def test_decimation_matches_reference_exhaustively():
+    # A third letter shows that letters other than the target are left in place.
+    for letters, max_len in (("ab", 10), ("abc", 6)):
+        alpha = alphabet(letters)
+        for s in words_upto(letters, max_len):
+            w = make_word(s, alpha)
+            for q in range(1, 6):
+                for p in range(q + 1):
+                    for direction in Direction:
+                        for letter in letters:
+                            result = decimate(w, DecimationSpec(p, q, direction, letter))
+                            expected = _reference_decimate(s, p, q, direction, letter)
+                            assert result.symbols == expected, (s, p, q, direction, letter)
+
+
+def test_decimation_removal_count_on_a_long_word():
+    w = christoffel_word(ChristoffelSpec(100_003, 37_001, "a", "b"))
+    n_occ = 37_001
+    for p, q in [(1, 1), (1, 3), (2, 5), (4, 7), (0, 4), (5, 5)]:
+        for direction in Direction:
+            result = decimate(w, DecimationSpec(p, q, direction, "a"))
+            removed = p * (n_occ // q) + min(p, n_occ % q)
+            assert count_letter(result, "a") == n_occ - removed, (p, q, direction)
+            assert count_letter(result, "b") == 100_003 - n_occ
+    spec = DecimationSpec(2, 5, Direction.LEFT_TO_RIGHT, "a")
+    assert decimate(w, spec).symbols == _reference_decimate(w.symbols, 2, 5, Direction.LEFT_TO_RIGHT, "a")
+
+
 @given(st.text(alphabet="ab", max_size=40), st.data())
 @settings(max_examples=300)
 def test_decimation_matches_reference(s, data):
