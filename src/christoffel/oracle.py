@@ -26,24 +26,9 @@ class OracleResult:
     modulus: int
 
 
-def _mark_positions(w: Word, other: Word) -> list[int]:
-    lw, lo = set(w.alphabet.letters), set(other.alphabet.letters)
-    if len(lw) != 2 or len(lo) != 2 or len(lw & lo) != 1:
-        raise ValueError(
-            f"alphabets {w.alphabet.letters} and {other.alphabet.letters} must share exactly the filler"
-        )
-    mark = (lw - lo).pop()
-    return [i for i, c in enumerate(w.symbols) if c == mark]
-
-
-def _replicated_mask(positions: list[int], period: int, length: int) -> int:
-    base = 0
-    for pos in positions:
-        base |= 1 << pos
-    mask = 0
-    for t in range(length // period):
-        mask |= base << (t * period)
-    return mask
+def _mark_mask(w: Word, mark: str, filler: str, copies: int) -> int:
+    """Bit i is set iff letter i of `w` repeated `copies` times is `mark`."""
+    return int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")) * copies, 2)
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
@@ -51,26 +36,26 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
 
     The operands are ordered so the shifted word is the longer one; each
     candidate shift k is checked by intersecting the two periodic position
-    sets on the residues modulo lcm(len(u), len(v)).
+    sets on the residues modulo lcm(len(u), len(v)).  Both sets are bit masks
+    over that whole period; the moving word carries one extra copy, so bits
+    [k, k + period) of its mask are its rotation by k.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
-    pos_u = _mark_positions(u, v)
-    pos_v = _mark_positions(v, u)
+    lu, lv = set(u.alphabet.letters), set(v.alphabet.letters)
+    if len(lu) != 2 or len(lv) != 2 or len(lu & lv) != 1:
+        raise ValueError(
+            f"alphabets {u.alphabet.letters} and {v.alphabet.letters} must share exactly the filler"
+        )
+    (filler,) = lu & lv
     n, m = len(u), len(v)
     if n > m:
-        pos_u, pos_v = pos_v, pos_u
-        n, m = m, n
+        u, v, lu, lv, n, m = v, u, lv, lu, m, n
     period = lcm(n, m)
-    fixed = _replicated_mask(pos_u, n, period)
-    moving = _replicated_mask(pos_v, m, period)
-    full = (1 << period) - 1
-    witnesses = []
-    for k in range(m):
-        rotated = ((moving >> k) | (moving << (period - k))) & full
-        if rotated & fixed == 0:
-            witnesses.append(k)
-    return OracleResult(bool(witnesses), tuple(witnesses), m)
+    fixed = _mark_mask(u, (lu - lv).pop(), filler, period // n)
+    moving = _mark_mask(v, (lv - lu).pop(), filler, period // m + 1)
+    witnesses = tuple([k for k in range(m) if not (moving >> k) & fixed])
+    return OracleResult(bool(witnesses), witnesses, m)
 
 
 def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:

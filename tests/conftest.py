@@ -1,6 +1,7 @@
 """Shared helpers: independent brute-force reference checks used across the suite."""
 
 from itertools import product
+from math import lcm
 
 from hypothesis import settings
 
@@ -26,6 +27,43 @@ def brute_christoffel(n, alpha, low="a", high="x"):
         out.append(low if cur > prev else high)
         prev = cur
     return "".join(out)
+
+
+def brute_superimposable(u, v):
+    """Superimposition from mark position lists, each shift rotated bit by bit over the lcm.
+
+    Returns (decision, witnesses, modulus), with the operands ordered like
+    `oracle_superimposable` and the fields of `OracleResult`.
+    """
+    def marks(w, other):
+        lw, lo = set(w.alphabet.letters), set(other.alphabet.letters)
+        mark = (lw - lo).pop()
+        return [i for i, c in enumerate(w.symbols) if c == mark]
+
+    def replicated(positions, period, length):
+        base = 0
+        for pos in positions:
+            base |= 1 << pos
+        mask = 0
+        for t in range(length // period):
+            mask |= base << (t * period)
+        return mask
+
+    pos_u, pos_v = marks(u, v), marks(v, u)
+    n, m = len(u), len(v)
+    if n > m:
+        pos_u, pos_v = pos_v, pos_u
+        n, m = m, n
+    period = lcm(n, m)
+    fixed = replicated(pos_u, n, period)
+    moving = replicated(pos_v, m, period)
+    full = (1 << period) - 1
+    witnesses = []
+    for k in range(m):
+        rotated = ((moving >> k) | (moving << (period - k))) & full
+        if rotated & fixed == 0:
+            witnesses.append(k)
+    return bool(witnesses), tuple(witnesses), m
 
 
 def scan_positions(word, letter):

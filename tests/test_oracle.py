@@ -1,6 +1,9 @@
+import re
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import christoffel.oracle as oracle_module
 from christoffel import (
@@ -15,7 +18,7 @@ from christoffel import (
     perfectly_superimposable,
 )
 
-from conftest import cw
+from conftest import brute_superimposable, cw
 
 
 def test_oracle_superimposable_examples():
@@ -45,6 +48,55 @@ def test_oracle_alphabet_mismatch():
         oracle_superimposable(make_word("ax", alphabet("ax")), make_word("xa", alphabet("ax")))
     with pytest.raises(ValueError):
         oracle_superimposable(make_word("", alphabet("ax")), make_word("bx", alphabet("bx")))
+
+
+def _as_tuple(result):
+    return result.decision, result.witnesses, result.modulus
+
+
+def test_oracle_matches_literal_reference_on_christoffel_pairs():
+    specs = [(n, a) for n in range(1, 31) for a in range(1, n + 1) if gcd(a, n) == 1]
+    firsts = [cw(n, a) for n, a in specs]
+    seconds = [cw(n, a, "b", "x") for n, a in specs]
+    for u in firsts:
+        for v in seconds:
+            expected = brute_superimposable(u, v)
+            assert _as_tuple(oracle_superimposable(u, v)) == expected, (u, v)
+            # Unequal lengths fix which word moves, so the order cannot matter.
+            if len(u) == len(v):
+                expected = brute_superimposable(v, u)
+            assert _as_tuple(oracle_superimposable(v, u)) == expected, (v, u)
+
+
+_bits = st.lists(st.booleans(), min_size=1, max_size=60)
+
+
+@given(st.permutations("012a"), _bits, _bits)
+@example(["1", "0", "2", "a"], [True, False, True, True], [False, True, False])
+@example(["1", "0", "2", "a"], [False] * 5, [True] * 7)
+@example(["0", "1", "2", "a"], [True] * 6, [False] * 4)
+@example(["2", "1", "0", "a"], [True] * 3, [True] * 3)
+def test_oracle_matches_literal_reference_on_binary_words(letters, bits_u, bits_v):
+    # Digits as letters: a mark "0" with a filler "1" breaks any translation
+    # to bit strings that substitutes one letter at a time.
+    filler, mark_u, mark_v = letters[:3]
+    u = make_word([mark_u if b else filler for b in bits_u], alphabet(filler + mark_u))
+    v = make_word([mark_v if b else filler for b in bits_v], alphabet(mark_v + filler))
+    assert _as_tuple(oracle_superimposable(u, v)) == brute_superimposable(u, v)
+    assert _as_tuple(oracle_superimposable(v, u)) == brute_superimposable(v, u)
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ("", "bx", "superimposition needs nonempty words"),
+    ("ax", "", "superimposition needs nonempty words"),
+    ("ax", "by", "alphabets ('a', 'x') and ('b', 'y') must share exactly the filler"),
+    ("ax", "xa", "alphabets ('a', 'x') and ('x', 'a') must share exactly the filler"),
+    ("abx", "bx", "alphabets ('a', 'b', 'x') and ('b', 'x') must share exactly the filler"),
+    ("ax", "bcx", "alphabets ('a', 'x') and ('b', 'c', 'x') must share exactly the filler"),
+])
+def test_oracle_error_messages(u, v, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle_superimposable(make_word(u, alphabet(u or "ax")), make_word(v, alphabet(v or "bx")))
 
 
 def test_oracle_witnesses_revalidate():
