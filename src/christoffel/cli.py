@@ -28,7 +28,7 @@ from .superimpose import (
     analyze,
     canonical_witness,
     collapse_merge,
-    interval_offset,
+    interval_family,
     merge_superimposition,
     perfectly_superimposable,
     reversal_superimposition_criterion,
@@ -38,7 +38,6 @@ from .words import (
     DecimationSpec,
     OrderedAlphabet,
     Word,
-    count_letter,
     decimate,
     is_balanced,
     is_circularly_balanced,
@@ -47,32 +46,7 @@ from .words import (
     projection,
 )
 
-OK, USAGE_ERROR, PRECONDITION_ERROR, ORACLE_MISMATCH = 0, 2, 3, 4
-
-# Which library operations each verb exposes; the test suite checks that the
-# union covers the whole public surface.
-VERB_OPERATIONS = {
-    "gen": ("christoffel_word", "cayley_graph", "christoffel_path"),
-    "positions": ("letter_positions", "modular_complement"),
-    "balance": ("make_word", "count_letter", "is_balanced", "is_circularly_balanced", "is_primitive"),
-    "superimpose": (
-        "analyze", "solve_bezout", "is_superimposable", "count_superimpositions", "canonical_shift",
-        "interval_offset", "reversal_superimposition_criterion", "crosscheck",
-        "oracle_superimposable", "perfectly_superimposable",
-    ),
-    "decimate": ("make_word", "decimate"),
-    "merge": (
-        "analyze", "canonical_witness", "christoffel_word", "canonical_shift", "reverse", "conjugate",
-        "make_word", "perfectly_superimposable", "merge_superimposition", "collapse_merge",
-    ),
-    "frobenius": ("frobenius_number", "nonrepresentable_count", "representable", "oracle_frobenius"),
-    "boundary": ("boundary_word", "shifted_cayley"),
-    "fraenkel": ("fraenkel_word", "letter_frequencies", "projection", "is_circularly_balanced"),
-    "beatty": ("beatty_slice", "beatty_disjoint_exists", "oracle_beatty_disjoint"),
-    "oracle-check": (
-        "crosscheck", "oracle_superimposable", "analyze", "canonical_witness", "perfectly_superimposable",
-    ),
-}
+OK, PRECONDITION_ERROR, ORACLE_MISMATCH = 0, 3, 4
 
 
 class CommandError(Exception):
@@ -108,11 +82,18 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _oracle_verdict(payload, lines, agree: bool, detail: str, **fields) -> int:
+    """Record an --oracle comparison in the output; its exit status is 4 on disagreement."""
+    payload.update(fields, oracle_agrees=agree)
+    lines.append(f"oracle: {'agree' if agree else 'DISAGREE'}{detail}")
+    return OK if agree else ORACLE_MISMATCH
+
+
 def _cmd_gen(args):
     low, high = _letters(args.letters, 2)
     spec = ChristoffelSpec(args.n, args.alpha, low, high)
     word = christoffel_word(spec)
-    payload = {"verb": "gen", "n": args.n, "alpha": args.alpha,
+    payload = {"n": args.n, "alpha": args.alpha,
                "letters": [low, high], "word": word.symbols}
     lines = [word.symbols]
     if args.cayley:
@@ -135,7 +116,7 @@ def _cmd_positions(args):
     complement = None
     if args.n >= 2 and gcd(args.n, args.alpha) == 1:
         complement = modular_complement(args.alpha, args.n)
-    payload = {"verb": "positions", "n": args.n, "alpha": args.alpha,
+    payload = {"n": args.n, "alpha": args.alpha,
                "residues": list(pos.residues), "complement": complement}
     return OK, payload, [" ".join(str(r) for r in pos.residues)]
 
@@ -145,15 +126,15 @@ def _cmd_balance(args):
     balanced = is_balanced(word)
     circular = is_circularly_balanced(word)
     primitive = is_primitive(word) if len(word) > 0 else None
-    counts = {c: count_letter(word, c) for c in word.alphabet.letters}
-    payload = {"verb": "balance", "word": word.symbols, "balanced": balanced,
+    counts = letter_frequencies(word)
+    payload = {"word": word.symbols, "balanced": balanced,
                "circularly_balanced": circular, "primitive": primitive, "counts": counts}
     lines = [
         f"word: {word.symbols}",
         f"balanced: {_yesno(balanced)}",
         f"circularly balanced: {_yesno(circular)}",
         f"primitive: {'n/a' if primitive is None else _yesno(primitive)}",
-        "counts: " + " ".join(f"{c}={counts[c]}" for c in word.alphabet.letters),
+        "counts: " + " ".join(f"{c}={k}" for c, k in counts.items()),
     ]
     return OK, payload, lines
 
@@ -162,7 +143,7 @@ def _cmd_superimpose(args):
     problem = SuperimpositionProblem(args.n, args.m, args.q, args.a, args.b)
     report = analyze(problem)
     sol, ok = report.bezout, report.superimposable
-    payload = {"verb": "superimpose", "n": args.n, "m": args.m, "q": args.q,
+    payload = {"n": args.n, "m": args.m, "q": args.q,
                "alpha": args.a, "beta": args.b, "superimposable": ok,
                "x": sol.x, "y": sol.y, "z": sol.z}
     lines = [f"superimposable: {_yesno(ok)}", f"x={sol.x} y={sol.y} z={sol.z}"]
@@ -176,7 +157,7 @@ def _cmd_superimpose(args):
         lines.append(f"canonical shift: {report.canonical_shift} (reversed second word)" if ok
                      else "canonical shift: none")
     if args.offsets:
-        offsets = [interval_offset(r, sol, args.q, args.a, args.b) for r in range(args.a)]
+        offsets = list(interval_family(problem).offsets)
         payload["offsets"] = offsets
         lines.append("offsets: " + " ".join(str(v) for v in offsets))
     if args.mirror:
@@ -187,13 +168,9 @@ def _cmd_superimpose(args):
         lines.append(f"mirror criterion: {_yesno(mirror)}")
     if args.oracle:
         result, agree = crosscheck(problem)
-        oracle_count = len(result.witnesses)
-        payload["oracle_decision"] = result.decision
-        payload["oracle_count"] = oracle_count
-        payload["oracle_agrees"] = agree
-        lines.append(f"oracle: {'agree' if agree else 'DISAGREE'} (count {oracle_count})")
-        if not agree:
-            status = ORACLE_MISMATCH
+        count = len(result.witnesses)
+        status = _oracle_verdict(payload, lines, agree, f" (count {count})",
+                                 oracle_decision=result.decision, oracle_count=count)
     return status, payload, lines
 
 
@@ -201,7 +178,7 @@ def _cmd_decimate(args):
     word = _word(args)
     spec = DecimationSpec(args.p, args.q, Direction(args.direction), args.letter)
     out = decimate(word, spec)
-    payload = {"verb": "decimate", "word": word.symbols, "letter": args.letter,
+    payload = {"word": word.symbols, "letter": args.letter,
                "p": args.p, "q": args.q, "direction": args.direction, "result": out.symbols}
     return OK, payload, [out.symbols]
 
@@ -215,7 +192,7 @@ def _cmd_merge(args):
         v = make_word(args.v, OrderedAlphabet((mark_v, filler)))
         merged = merge_superimposition(u, v)
         collapsed = collapse_merge(merged, filler)
-        payload = {"verb": "merge", "u": u.symbols, "v": v.symbols,
+        payload = {"u": u.symbols, "v": v.symbols,
                    "merged": merged.symbols, "collapsed": collapsed.symbols}
         return OK, payload, [f"merged: {merged.symbols}", f"collapsed: {collapsed.symbols}"]
     if args.n is None or args.a is None or args.b is None:
@@ -230,7 +207,7 @@ def _cmd_merge(args):
         raise CommandError("internal: canonical witness failed to superimpose", ORACLE_MISMATCH)
     merged = merge_superimposition(u, witness)
     collapsed = collapse_merge(merged, filler)
-    payload = {"verb": "merge", "n": args.n, "a": args.a, "b": args.b,
+    payload = {"n": args.n, "a": args.a, "b": args.b,
                "u": u.symbols, "v": v.symbols, "shift": report.canonical_shift, "witness": witness.symbols,
                "merged": merged.symbols, "collapsed": collapsed.symbols}
     lines = [f"u: {u.symbols}", f"v: {v.symbols}", f"witness: {witness.symbols}",
@@ -242,7 +219,7 @@ def _cmd_frobenius(args):
     coins = CoinPair(args.a, args.b)
     g = frobenius_number(coins)
     count = nonrepresentable_count(coins)
-    payload = {"verb": "frobenius", "a": args.a, "b": args.b,
+    payload = {"a": args.a, "b": args.b,
                "frobenius": g, "nonrepresentable": count}
     lines = [f"g({args.a},{args.b}) = {g}; non-representable: {count}"]
     status = OK
@@ -256,12 +233,8 @@ def _cmd_frobenius(args):
             raise CommandError("--oracle needs both denominations at least 2")
         largest, gaps = oracle_frobenius(coins)
         agree = largest == g and gaps == count
-        payload["oracle_frobenius"] = largest
-        payload["oracle_nonrepresentable"] = gaps
-        payload["oracle_agrees"] = agree
-        lines.append(f"oracle: {'agree' if agree else 'DISAGREE'} ({largest}, {gaps})")
-        if not agree:
-            status = ORACLE_MISMATCH
+        status = _oracle_verdict(payload, lines, agree, f" ({largest}, {gaps})",
+                                 oracle_frobenius=largest, oracle_nonrepresentable=gaps)
     return status, payload, lines
 
 
@@ -269,7 +242,7 @@ def _cmd_boundary(args):
     low, high = _letters(args.letters, 2)
     coins = CoinPair(args.a, args.b)
     walk = boundary_word(coins, low, high)
-    payload = {"verb": "boundary", "a": args.a, "b": args.b, "letters": [low, high],
+    payload = {"a": args.a, "b": args.b, "letters": [low, high],
                "word": walk.word.symbols, "values": list(walk.values),
                "cells": sorted([x, y, value] for (x, y), value in walk.cells.items())}
     lines = [walk.word.symbols]
@@ -283,7 +256,7 @@ def _cmd_boundary(args):
 def _cmd_fraenkel(args):
     word = fraenkel_word(args.k)
     freq = letter_frequencies(word)
-    payload = {"verb": "fraenkel", "k": args.k, "word": word.symbols, "frequencies": freq}
+    payload = {"k": args.k, "word": word.symbols, "frequencies": freq}
     lines = [word.symbols]
     if args.project is not None:
         if not 1 <= args.project <= args.k:
@@ -306,27 +279,23 @@ def _cmd_beatty(args):
             raise CommandError("slice mode needs --p, --q, --lo and --hi")
         spec = BeattySpec(args.p, args.q, args.offset)
         values = beatty_slice(spec, args.lo, args.hi)
-        payload = {"verb": "beatty", "p": args.p, "q": args.q, "offset": str(spec.offset),
+        payload = {"p": args.p, "q": args.q, "offset": str(spec.offset),
                    "lo": args.lo, "hi": args.hi, "values": values}
         return OK, payload, [", ".join(str(v) for v in values)]
     if None in (args.q1, args.p2, args.q2):
         raise CommandError("disjoint mode needs --p1, --q1, --p2 and --q2")
     exists = beatty_disjoint_exists(args.p1, args.q1, args.p2, args.q2)
-    payload = {"verb": "beatty", "p1": args.p1, "q1": args.q1, "p2": args.p2, "q2": args.q2,
+    payload = {"p1": args.p1, "q1": args.q1, "p2": args.p2, "q2": args.q2,
                "disjoint_possible": exists}
     lines = [f"disjoint offsets exist: {_yesno(exists)}"]
     status = OK
     if args.oracle:
         grid = args.grid if args.grid is not None else max(args.q1, args.q2)
         result = oracle_beatty_disjoint(args.p1, args.q1, args.p2, args.q2, grid)
-        agree = result.disjoint_possible == exists
-        payload["oracle_disjoint"] = result.disjoint_possible
-        payload["oracle_offsets"] = None if result.offsets is None else [str(f) for f in result.offsets]
-        payload["oracle_agrees"] = agree
-        witness = "" if result.offsets is None else f" (offsets {result.offsets[0]}, {result.offsets[1]})"
-        lines.append(f"oracle: {'agree' if agree else 'DISAGREE'}{witness}")
-        if not agree:
-            status = ORACLE_MISMATCH
+        offsets = None if result.offsets is None else [str(f) for f in result.offsets]
+        witness = "" if offsets is None else f" (offsets {offsets[0]}, {offsets[1]})"
+        status = _oracle_verdict(payload, lines, result.disjoint_possible == exists, witness,
+                                 oracle_disjoint=result.disjoint_possible, oracle_offsets=offsets)
     return status, payload, lines
 
 
@@ -344,7 +313,7 @@ def _cmd_oracle_check(args):
                 checked += 1
                 if not crosscheck(problem)[1]:
                     disagreements.append([n, m, a_count, b_count])
-    payload = {"verb": "oracle-check", "max_n": args.max_n,
+    payload = {"max_n": args.max_n,
                "unequal_max": args.unequal_max, "instances": checked,
                "disagreements": disagreements}
     lines = [f"checked {checked} instances: {len(disagreements)} disagreements"]
@@ -460,6 +429,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     if args.json:
+        payload["verb"] = args.verb
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:

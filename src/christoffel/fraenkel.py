@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .christoffel import windowed_bezout
-from .words import OrderedAlphabet, Word
+from .words import OrderedAlphabet, Word, count_letter
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
 # alphabet so every letter stays a single character.
@@ -31,7 +31,7 @@ def fraenkel_word(k: int) -> Word:
 
 def letter_frequencies(w: Word) -> dict[str, int]:
     """Occurrence count of every alphabet letter, including absent ones."""
-    return {c: w.symbols.count(c) for c in w.alphabet.letters}
+    return {c: count_letter(w, c) for c in w.alphabet.letters}
 
 
 @dataclass(frozen=True)

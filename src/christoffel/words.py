@@ -34,14 +34,14 @@ class OrderedAlphabet:
         return len(self.letters)
 
     def index(self, letter: str) -> int:
+        """Position of `letter` in the order; ValueError if it is not in the alphabet."""
         if letter not in self.letters:
             raise ValueError(f"letter {letter!r} not in alphabet {self.letters}")
         return self.letters.index(letter)
 
     def without(self, letter: str) -> "OrderedAlphabet":
         """The alphabet with one letter removed, order preserved."""
-        if letter not in self.letters:
-            raise ValueError(f"letter {letter!r} not in alphabet {self.letters}")
+        self.index(letter)
         return OrderedAlphabet(tuple(c for c in self.letters if c != letter))
 
 
@@ -88,8 +88,7 @@ def make_word(symbols, alpha: OrderedAlphabet) -> Word:
 
 def count_letter(w: Word, letter: str) -> int:
     """Number of occurrences of `letter` in `w`."""
-    if letter not in w.alphabet:
-        raise ValueError(f"letter {letter!r} not in alphabet {w.alphabet.letters}")
+    w.alphabet.index(letter)
     return w.symbols.count(letter)
 
 
@@ -257,8 +256,7 @@ def projection(w: Word, letter: str, filler: str) -> Word:
 
     The result is a word over the two-letter alphabet (letter, filler).
     """
-    if letter not in w.alphabet:
-        raise ValueError(f"letter {letter!r} not in alphabet {w.alphabet.letters}")
+    w.alphabet.index(letter)
     if filler in w.alphabet:
         raise ValueError(f"filler {filler!r} collides with the alphabet {w.alphabet.letters}")
     out = w.symbols.translate({ord(c): filler for c in w.alphabet.letters if c != letter})
@@ -295,8 +293,7 @@ def decimate(w: Word, spec: DecimationSpec) -> Word:
     Occurrence numbers falling outside 1..N are skipped; other letters are
     never touched.
     """
-    if spec.letter not in w.alphabet:
-        raise ValueError(f"letter {spec.letter!r} not in alphabet {w.alphabet.letters}")
+    w.alphabet.index(spec.letter)
     # Occurrence j of the letter sits between pieces j-1 and j; it is rejoined
     # as "" when deleted and as the letter when kept.
     pieces = w.symbols.split(spec.letter)

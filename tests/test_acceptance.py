@@ -121,7 +121,7 @@ def grid():
                 pairs.append((cop_n[-1], cop_m[-1]))
                 pairs.append((cop_n[len(cop_n) // 2], cop_m[len(cop_m) // 2]))
             words_a = {a: christoffel_word(ChristoffelSpec(n, a)) for a in {a for a, _ in pairs}}
-            words_b = {b: christoffel_word(ChristoffelSpec(m, b, "b", "x")) for _, b in pairs}
+            words_b = {b: christoffel_word(ChristoffelSpec(m, b, "b", "x")) for b in {b for _, b in pairs}}
             for a_count, b_count in pairs:
                 _check_instance(result, n, m, a_count, b_count,
                                 words_a[a_count], words_b[b_count])

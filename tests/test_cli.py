@@ -1,33 +1,24 @@
+import importlib
+import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 
 import christoffel
-from christoffel.cli import VERB_OPERATIONS, main
+from christoffel import BeattyOracleResult, SuperimpositionProblem, count_superimpositions
+from christoffel import cli
+from christoffel.cli import main
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
-LIBRARY_OPERATIONS = {
-    # words
-    "make_word", "count_letter", "is_balanced", "is_circularly_balanced",
-    "reverse", "conjugate", "is_primitive", "projection", "decimate",
-    # construction
-    "modular_complement", "christoffel_word", "letter_positions",
-    "cayley_graph", "christoffel_path",
-    # superimposition
-    "perfectly_superimposable", "solve_bezout", "is_superimposable",
-    "count_superimpositions", "canonical_shift", "reversal_superimposition_criterion",
-    "interval_offset", "merge_superimposition", "collapse_merge",
-    # money
-    "frobenius_number", "nonrepresentable_count", "representable",
-    "boundary_word", "shifted_cayley",
-    # fraenkel / beatty
-    "fraenkel_word", "beatty_slice", "beatty_disjoint_exists", "letter_frequencies",
-    # oracle
-    "oracle_superimposable", "oracle_frobenius", "oracle_beatty_disjoint", "crosscheck",
-}
+# Public functions that no README command calls. The library tests cover them,
+# and test_cli_count_is_count_superimpositions ties the count to `superimpose --count`.
+LIBRARY_ONLY = {"alphabet", "canonical_shift_lifts", "count_superimpositions"}
 
 
 def run_cli(capsys, *args):
@@ -36,14 +27,74 @@ def run_cli(capsys, *args):
     return status, captured.out, captured.err
 
 
-def test_every_operation_is_reachable():
-    reachable = set()
-    for ops in VERB_OPERATIONS.values():
-        reachable.update(ops)
-    missing = LIBRARY_OPERATIONS - reachable
-    assert not missing, f"operations with no verb: {sorted(missing)}"
-    for name in LIBRARY_OPERATIONS:
-        assert hasattr(christoffel, name)
+def readme_commands():
+    """The argument lists of the README's command-line block, program name dropped."""
+    with open(README, encoding="utf-8") as f:
+        block = f.read().split("## Command-line usage", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+                if line.startswith("christoffel ")]
+    # A smaller sweep reaches the same functions as the README's.
+    return [["oracle-check", "--max-n", "8", "--unequal-max", "6"] if argv[0] == "oracle-check" else argv
+            for argv in commands]
+
+
+def test_every_operation_is_reachable(capsys):
+    """Run the README's commands under a profiler and list the public functions they call.
+
+    Functions are matched by code object, not by name: ChristoffelSpec.alphabet
+    is a property named like the alphabet() function.
+    """
+    functions = {name: getattr(christoffel, name).__code__ for name in christoffel.__all__
+                 if not inspect.isclass(getattr(christoffel, name))}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    commands = readme_commands()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        statuses = [main(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert statuses == [0] * len(commands)
+    unreached = {name for name, code in functions.items() if code not in called}
+    assert unreached == LIBRARY_ONLY
+
+
+def test_all_lists_every_public_definition():
+    for module_name in ("words", "christoffel", "superimpose", "money", "fraenkel", "oracle"):
+        module = importlib.import_module(f"christoffel.{module_name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__ \
+                    and not name.startswith("_"):
+                assert name in christoffel.__all__, f"{module.__name__}.{name}"
+    assert christoffel.__all__ == sorted(christoffel.__all__)
+
+
+def test_cli_count_is_count_superimpositions(capsys, monkeypatch):
+    """superimpose --count prints what count_superimpositions returns, on every small primitive pair."""
+    # Building the parser is most of a call's cost; one parser serves every call.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    sizes = [(n, n) for n in range(1, 21)] + [(n, m) for n in range(1, 13) for m in range(1, 13) if n != m]
+    counts = set()
+    for n, m in sizes:
+        for a_count in (a for a in range(1, n + 1) if gcd(a, n) == 1):
+            for b_count in (b for b in range(1, m + 1) if gcd(b, m) == 1):
+                problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
+                status, out, _ = run_cli(
+                    capsys, "superimpose", "--n", str(n), "--m", str(m), "--q", str(problem.q),
+                    "--a", str(problem.alpha), "--b", str(problem.beta), "--count", "--json",
+                )
+                assert status == 0
+                count = json.loads(out)["count"]
+                assert count == count_superimpositions(problem), (n, m, a_count, b_count)
+                counts.add(count)
+    assert 0 in counts and len(counts) > 10
 
 
 def test_gen(capsys):
@@ -313,6 +364,21 @@ def test_oracle_disagreement_exits_four(capsys, monkeypatch):
                              "--m", "13", "--b", "3", "--oracle")
     assert status == 4
     assert "DISAGREE" in out
+
+
+@pytest.mark.parametrize("target, liar, argv", [
+    ("oracle_frobenius", lambda coins: (999, 0), ["frobenius", "--a", "8", "--b", "5", "--oracle"]),
+    ("oracle_beatty_disjoint", lambda *args: BeattyOracleResult(False, None),
+     ["beatty", "--p1", "13", "--q1", "4", "--p2", "13", "--q2", "3", "--oracle"]),
+], ids=["frobenius", "beatty"])
+def test_lying_frobenius_or_beatty_oracle_exits_four(capsys, monkeypatch, target, liar, argv):
+    monkeypatch.setattr(f"christoffel.cli.{target}", liar)
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 4
+    assert out.splitlines()[-1].startswith("oracle: DISAGREE")
+    status, out, _ = run_cli(capsys, *argv, "--json")
+    assert status == 4
+    assert json.loads(out)["oracle_agrees"] is False
 
 
 def test_oracle_check_holds_under_optimize():
