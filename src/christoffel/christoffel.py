@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import gcd
 
 from .words import OrderedAlphabet, Word, _christoffel_symbols
@@ -112,9 +113,21 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
     primitive words, their powers and alpha = n alike.  For coprime
     (n, alpha) these are the alpha multiples of the modular complement of
     alpha.
+
+    With n = d*alpha + r, 0 <= r < alpha, consecutive positions differ by d
+    or d + 1, and the gap sequence is the Christoffel word C(alpha, alpha - r)
+    over (d < d + 1) (Berstel, Lauve, Reutenauer, Saliola 2008).  It is built
+    as bytes by the same substitutions as the word itself, and its prefix
+    sums are the positions.
     """
     n, alpha = spec.n, spec.alpha
-    return PositionSet(n, tuple(map(alpha.__rfloordiv__, range(0, alpha * n, n))))
+    d, r = divmod(n, alpha)
+    if d >= 255:
+        # A byte holds the gap letters only up to d + 1 = 255.  Past that,
+        # alpha <= n/255, so a floor division per position is cheap.
+        return PositionSet(n, tuple(map(alpha.__rfloordiv__, range(0, alpha * n, n))))
+    gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
+    return PositionSet(n, tuple(accumulate(gaps[:-1], initial=0)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,14 @@ class OracleResult:
 
 
 def _mark_mask(w: Word, mark: str, filler: str, copies: int) -> int:
-    """Bit i is set iff letter i of `w` repeated `copies` times is `mark`."""
-    return int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")) * copies, 2)
+    """Bit i is set iff letter i of `w` repeated `copies` times is `mark`.
+
+    One copy is parsed; the repunit (2^(n*copies) - 1) // (2^n - 1) has bit
+    n*j set for each j < copies, so the product lays the copies side by side.
+    """
+    n = len(w)
+    one = int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")), 2)
+    return one * (((1 << n * copies) - 1) // ((1 << n) - 1))
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:

@@ -58,8 +58,13 @@ class Word:
     alphabet: OrderedAlphabet
 
     def __post_init__(self):
-        if set(self.symbols) <= set(self.alphabet.letters):
-            return
+        # The letters are distinct single characters, so their counts add up
+        # to the length exactly when no other symbol occurs.
+        try:
+            if sum(map(self.symbols.count, self.alphabet.letters)) == len(self.symbols):
+                return
+        except TypeError:  # bytes.count rejects str letters; the walk reports the first byte
+            pass
         for i, c in enumerate(self.symbols):
             if c not in self.alphabet:
                 raise ValueError(
@@ -172,8 +177,10 @@ def _indicator_balanced(s: str, letter: str) -> bool:
     return _in_strip(_hull(upper, 1), _hull(lower, -1))
 
 
-def _christoffel_symbols(n: int, alpha: int, low: str, high: str) -> str:
-    """The Christoffel word C(n, alpha) (or its power) as a string, 0 <= alpha <= n.
+def _christoffel_symbols(n: int, alpha: int, low, high):
+    """The Christoffel word C(n, alpha) (or its power), 0 <= alpha <= n.
+
+    It is a str over str letters and bytes over one-byte letters.
 
     With r = gcd(n, alpha) it is the r-th power of the primitive word with
     (a, b) = (alpha/r, (n - alpha)/r) letters.  That word follows Euclid's
@@ -181,7 +188,7 @@ def _christoffel_symbols(n: int, alpha: int, low: str, high: str) -> str:
     word for (a - k*b, b) under high -> low**k high; otherwise, with
     k = b // a, the image of the word for (a, b - k*a) under
     low -> low high**k (Berstel, Lauve, Reutenauer, Saliola 2008).  The
-    recursion ends at a single letter, and each step is one str.replace.
+    recursion ends at a single letter, and each step is one replace.
     """
     r = gcd(n, alpha)
     a, b = alpha // r, (n - alpha) // r

@@ -102,6 +102,20 @@ def test_christoffel_word_and_positions_at_large_n():
         assert tuple(letter_positions(spec)) == tuple(sorted(scan_positions(word, "0"))), (length, alpha)
 
 
+def test_letter_positions_at_extreme_ratios():
+    # With n = d*alpha + r the gaps between positions are d and d + 1.  Bytes
+    # hold them up to d = 254; from d = 255 on the floor formula is used.
+    cases = [(254 * 1000 + r, 1000) for r in (0, 1, 999)]
+    cases += [(255 * 1000 + r, 1000) for r in (0, 1, 999)]
+    cases += [(254, 1), (255, 1), (256, 1)]
+    cases += [(3_000_001, alpha) for alpha in (1, 2, 3)]  # gaps either side of 0x110000
+    cases += [(0xD800 * 7 + 3, 7), (0xDFFF * 5 + 4, 5)]  # gaps in the surrogate range
+    for n, alpha in cases:
+        positions = letter_positions(ChristoffelSpec(n, alpha))
+        assert positions.modulus == n
+        assert positions.residues == tuple(k * n // alpha for k in range(alpha)), (n, alpha)
+
+
 def test_letter_positions_examples():
     assert tuple(letter_positions(ChristoffelSpec(8, 5))) == (0, 1, 3, 4, 6)
     assert tuple(letter_positions(ChristoffelSpec(13, 4))) == (0, 3, 6, 9)

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import christoffel
@@ -12,6 +12,7 @@ from christoffel import (
     DecimationSpec,
     Direction,
     OrderedAlphabet,
+    Word,
     alphabet,
     christoffel_word,
     conjugate,
@@ -61,6 +62,37 @@ def test_foreign_symbol_message_names_first_bad_index():
     with pytest.raises(ValueError) as info:
         make_word(s, AX)
     assert str(info.value) == "symbol 'z' at index 10000 is not in alphabet ('a', 'x')"
+
+
+CHARACTERS = st.characters(exclude_categories=("Cs",))
+
+
+@st.composite
+def letters_and_symbols(draw):
+    """Distinct printable letters, and a string over them plus up to three other characters."""
+    letters = draw(st.lists(CHARACTERS.filter(str.isprintable), min_size=1, max_size=6, unique=True))
+    pool = letters + draw(st.lists(CHARACTERS, max_size=3))
+    return letters, draw(st.text(alphabet=st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=300)
+@given(letters_and_symbols())
+@example((["a", "x"], "axxab"))
+@example((["\u0436", "\u03b1"], "\u03b1\u0436\u00e9\u0436"))  # Cyrillic, Greek, a Latin-1 foreigner
+@example((["\U0001d51e", "\U0001f600", "a"], "a\U0001f600\U0001d51e\U0001d51f"))  # astral
+def test_word_accepts_exactly_the_symbols_of_its_alphabet(case):
+    letters, symbols = case
+    alpha = OrderedAlphabet(tuple(letters))
+    if set(symbols) <= set(letters):
+        assert Word(symbols, alpha).symbols == symbols
+    else:
+        i, c = next((i, c) for i, c in enumerate(symbols) if c not in letters)
+        with pytest.raises(ValueError) as info:
+            Word(symbols, alpha)
+        assert str(info.value) == f"symbol {c!r} at index {i} is not in alphabet {alpha.letters}"
+    if symbols:
+        with pytest.raises(ValueError, match="at index 0 is not in alphabet"):
+            Word(symbols.encode(), alpha)
 
 
 def test_count_letter():
