@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
@@ -94,6 +95,23 @@ class PositionSet:
         return len(self.residues)
 
 
+# Sweeps over short words meet the same C(n, alpha) once per partner, so
+# short builds are memoised; long words are never kept alive.  The memo holds
+# at most _MEMO_SIZE * _MEMO_MAX_N symbols (256 * 1024).  A hit returns an
+# equal, immutable Word.  typed=True keeps 5.0 and True apart from 5 and 1,
+# so a spec the build rejects is rejected whatever was built before.
+_MEMO_MAX_N = 1024
+_MEMO_SIZE = 256
+
+
+def _build_word(n: int, alpha: int, alphabet: OrderedAlphabet) -> Word:
+    low, high = alphabet.letters
+    return Word(_christoffel_symbols(n, alpha, low, high), alphabet)
+
+
+_cached_word = lru_cache(maxsize=_MEMO_SIZE, typed=True)(_build_word)
+
+
 def christoffel_word(spec: ChristoffelSpec) -> Word:
     """The word C(n, alpha) over (low < high).
 
@@ -101,9 +119,12 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
     without wrapping, beta = n - alpha.  Without coprimality the same rule
     yields the power (C(n/r, alpha/r))**r.  The word is built by Euclid's
     algorithm on (alpha, beta), one substitution per partial quotient.
+    Words of length up to 1024 come from a bounded memo of recent builds.
     """
     alphabet = spec.alphabet  # validates the letters before they reach str.replace
-    return Word(_christoffel_symbols(spec.n, spec.alpha, spec.low, spec.high), alphabet)
+    if spec.n <= _MEMO_MAX_N:
+        return _cached_word(spec.n, spec.alpha, alphabet)
+    return _build_word(spec.n, spec.alpha, alphabet)
 
 
 def letter_positions(spec: ChristoffelSpec) -> PositionSet:

@@ -58,18 +58,19 @@ class Word:
     alphabet: OrderedAlphabet
 
     def __post_init__(self):
-        # The letters are distinct single characters, so their counts add up
-        # to the length exactly when no other symbol occurs.
-        try:
-            if sum(map(self.symbols.count, self.alphabet.letters)) == len(self.symbols):
-                return
-        except TypeError:  # bytes.count rejects str letters; the walk reports the first byte
-            pass
-        for i, c in enumerate(self.symbols):
+        symbols = self.symbols
+        # The letters are distinct single characters, so in a str their
+        # counts add up to the length exactly when no other symbol occurs.
+        if isinstance(symbols, str) and sum(map(symbols.count, self.alphabet.letters)) == len(symbols):
+            return
+        # Other input is walked too, so its first foreign symbol is named.
+        for i, c in enumerate(symbols):
             if c not in self.alphabet:
                 raise ValueError(
                     f"symbol {c!r} at index {i} is not in alphabet {self.alphabet.letters}"
                 )
+        if not isinstance(symbols, str):
+            raise ValueError(f"symbols must be a str, not {type(symbols).__name__}")
 
     def __len__(self):
         return len(self.symbols)

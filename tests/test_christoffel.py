@@ -1,3 +1,5 @@
+import sys
+import threading
 from math import gcd
 
 import pytest
@@ -18,6 +20,7 @@ from christoffel import (
     reverse,
     windowed_bezout,
 )
+from christoffel.christoffel import _MEMO_MAX_N, _cached_word
 
 from conftest import brute_christoffel, cw, scan_positions
 
@@ -100,6 +103,64 @@ def test_christoffel_word_and_positions_at_large_n():
         word = christoffel_word(spec)
         assert word.symbols == brute_christoffel(length, alpha, "0", "1"), (length, alpha)
         assert tuple(letter_positions(spec)) == tuple(sorted(scan_positions(word, "0"))), (length, alpha)
+
+
+def test_memoised_builds_match_brute_force_on_both_sides_of_the_cutoff():
+    for n in range(_MEMO_MAX_N - 2, _MEMO_MAX_N + 3):
+        for alpha in (1, 2, n // 3, n // 2, n - 1, n):
+            for low, high in (("a", "x"), ("1", "0")):
+                first = cw(n, alpha, low, high)
+                assert first.symbols == brute_christoffel(n, alpha, low, high), (n, alpha)
+                assert cw(n, alpha, low, high) == first, (n, alpha)
+
+
+def test_memo_keeps_the_checks_of_the_build():
+    assert cw(8, 5).symbols == "aaxaaxax"
+    with pytest.raises(TypeError):
+        christoffel_word(ChristoffelSpec(8, 5.0))
+    with pytest.raises(TypeError):
+        christoffel_word(ChristoffelSpec(8.0, 5))
+    with pytest.raises(ValueError, match="letter 'ab' is not a single printable character"):
+        christoffel_word(ChristoffelSpec(8, 5, "ab", "x"))
+
+
+def test_long_builds_bypass_the_memo():
+    cw(_MEMO_MAX_N, 5)
+    before = _cached_word.cache_info()
+    cw(_MEMO_MAX_N, 5)
+    assert _cached_word.cache_info().hits == before.hits + 1
+    before = _cached_word.cache_info()
+    for n in (_MEMO_MAX_N + 1, 5000):
+        cw(n, 7)
+        cw(n, 7)
+    assert _cached_word.cache_info() == before
+
+
+def test_memo_under_concurrent_builds():
+    specs = [(n, alpha) for n in range(1, 61) for alpha in range(1, n + 1)]  # ~7x what the memo holds
+    expected = {spec: brute_christoffel(*spec) for spec in specs}
+    wrong, errors = [], []
+
+    def build(offset):
+        try:
+            for n, alpha in specs[offset:] + specs[:offset]:
+                if cw(n, alpha).symbols != expected[n, alpha]:
+                    wrong.append((n, alpha))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k * 97,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
 
 
 def test_letter_positions_at_extreme_ratios():

@@ -95,6 +95,12 @@ def test_word_accepts_exactly_the_symbols_of_its_alphabet(case):
             Word(symbols.encode(), alpha)
 
 
+def test_word_rejects_symbols_that_are_not_a_str():
+    for symbols, kind in ((b"", "bytes"), (["a", "x"], "list"), (("a",), "tuple")):
+        with pytest.raises(ValueError, match=f"symbols must be a str, not {kind}"):
+            Word(symbols, AX)
+
+
 def test_count_letter():
     assert count_letter(make_word("", AX), "a") == 0
     assert count_letter(make_word("1213121", DIGITS), "1") == 4
