@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .words import OrderedAlphabet, Word, _christoffel_symbols
+from .words import OrderedAlphabet, Word, _christoffel_symbols, _is_letter
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -96,16 +96,19 @@ class PositionSet:
 
 
 # Sweeps over short words meet the same C(n, alpha) once per partner, so
-# short builds are memoised; long words are never kept alive.  The memo holds
-# at most _MEMO_SIZE * _MEMO_MAX_N symbols (256 * 1024).  A hit returns an
-# equal, immutable Word.  typed=True keeps 5.0 and True apart from 5 and 1,
-# so a spec the build rejects is rejected whatever was built before.
+# short builds are memoised by (n, alpha, low, high); long words are never
+# kept alive.  The memo holds at most _MEMO_SIZE * _MEMO_MAX_N symbols
+# (256 * 1024).  A hit returns an equal, immutable Word without building its
+# alphabet again.  Only valid letters reach the memo: any other letter, even
+# an unhashable one, goes to the uncached build, which rejects it, and leaves
+# the memo untouched.  typed=True keeps 5.0 and True apart from 5 and 1, so
+# a spec the build rejects is rejected whatever was built before.
 _MEMO_MAX_N = 1024
 _MEMO_SIZE = 256
 
 
-def _build_word(n: int, alpha: int, alphabet: OrderedAlphabet) -> Word:
-    low, high = alphabet.letters
+def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
+    alphabet = OrderedAlphabet((low, high))  # validates the letters before they reach str.replace
     return Word(_christoffel_symbols(n, alpha, low, high), alphabet)
 
 
@@ -119,12 +122,13 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
     without wrapping, beta = n - alpha.  Without coprimality the same rule
     yields the power (C(n/r, alpha/r))**r.  The word is built by Euclid's
     algorithm on (alpha, beta), one substitution per partial quotient.
-    Words of length up to 1024 come from a bounded memo of recent builds.
+    Words of length up to 1024 come from a bounded memo of recent builds,
+    keyed by (n, alpha, low, high).
     """
-    alphabet = spec.alphabet  # validates the letters before they reach str.replace
-    if spec.n <= _MEMO_MAX_N:
-        return _cached_word(spec.n, spec.alpha, alphabet)
-    return _build_word(spec.n, spec.alpha, alphabet)
+    n, alpha, low, high = spec.n, spec.alpha, spec.low, spec.high
+    if n <= _MEMO_MAX_N and _is_letter(low) and _is_letter(high):
+        return _cached_word(n, alpha, low, high)
+    return _build_word(n, alpha, low, high)
 
 
 def letter_positions(spec: ChristoffelSpec) -> PositionSet:

@@ -29,22 +29,34 @@ class OracleResult:
 def _mark_mask(w: Word, mark: str, filler: str, copies: int) -> int:
     """Bit i is set iff letter i of `w` repeated `copies` times is `mark`.
 
-    One copy is parsed; the repunit (2^(n*copies) - 1) // (2^n - 1) has bit
-    n*j set for each j < copies, so the product lays the copies side by side.
+    One copy is parsed, then the copies are laid side by side by the binary
+    method: for each bit of `copies` from the top the mask is doubled, and a
+    set bit appends one more parsed copy.
     """
     n = len(w)
     one = int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")), 2)
-    return one * (((1 << n * copies) - 1) // ((1 << n) - 1))
+    mask, have = one, 1
+    for bit in bin(copies)[3:]:
+        mask |= mask << n * have
+        have *= 2
+        if bit == "1":
+            mask = mask << n | one
+            have += 1
+    return mask
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     """Try every shift of the longer word and test residue disjointness directly.
 
-    The operands are ordered so the shifted word is the longer one; each
-    candidate shift k is checked by intersecting the two periodic position
-    sets on the residues modulo lcm(len(u), len(v)).  Both sets are bit masks
-    over that whole period; the moving word carries one extra copy, so bits
-    [k, k + period) of its mask are its rotation by k.
+    The operands are ordered so the shifted word is the longer one, of length
+    m.  The shorter word's marks become one bit mask over the whole period
+    lcm(len(u), len(v)).  The moving word repeats every m letters, so a mark
+    of the fixed word at time t meets the moving word rotated by k exactly
+    when the moving word has a mark at (t + k) mod m.  The period mask is
+    therefore cut into period/m chunks of width m and folded, by halving,
+    into one m-bit mask of the times t mod m that carry a fixed mark.  The
+    moving mask is two copies of the longer word, so bits [k, k + m) of it
+    are its rotation by k, and each of the m shifts is one shift-and-AND.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
@@ -59,7 +71,13 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         u, v, lu, lv, n, m = v, u, lv, lu, m, n
     period = lcm(n, m)
     fixed = _mark_mask(u, (lu - lv).pop(), filler, period // n)
-    moving = _mark_mask(v, (lv - lu).pop(), filler, period // m + 1)
+    chunks = period // m
+    while chunks > 1:
+        keep = chunks - chunks // 2
+        width = keep * m
+        fixed = fixed & ((1 << width) - 1) | fixed >> width
+        chunks = keep
+    moving = _mark_mask(v, (lv - lu).pop(), filler, 2)
     witnesses = tuple([k for k in range(m) if not (moving >> k) & fixed])
     return OracleResult(bool(witnesses), witnesses, m)
 

@@ -8,6 +8,11 @@ from enum import Enum
 from math import gcd
 
 
+def _is_letter(c) -> bool:
+    """True iff `c` is a single printable character, the one test on every letter."""
+    return isinstance(c, str) and len(c) == 1 and c.isprintable()
+
+
 @dataclass(frozen=True)
 class OrderedAlphabet:
     """A totally ordered alphabet of distinct single-character letters."""
@@ -19,7 +24,7 @@ class OrderedAlphabet:
         if not self.letters:
             raise ValueError("alphabet must contain at least one letter")
         for c in self.letters:
-            if not isinstance(c, str) or len(c) != 1 or not c.isprintable():
+            if not _is_letter(c):
                 raise ValueError(f"letter {c!r} is not a single printable character")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"alphabet letters must be distinct: {self.letters}")

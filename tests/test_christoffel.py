@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from math import gcd
@@ -120,8 +121,13 @@ def test_memo_keeps_the_checks_of_the_build():
         christoffel_word(ChristoffelSpec(8, 5.0))
     with pytest.raises(TypeError):
         christoffel_word(ChristoffelSpec(8.0, 5))
-    with pytest.raises(ValueError, match="letter 'ab' is not a single printable character"):
-        christoffel_word(ChristoffelSpec(8, 5, "ab", "x"))
+    # Rejected letters raise every time, and never reach the memo.
+    for letter in (["a"], 1, "\n", "ab"):
+        before = _cached_word.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} is not a single printable character")):
+                christoffel_word(ChristoffelSpec(8, 5, letter, "x"))
+        assert _cached_word.cache_info() == before
 
 
 def test_long_builds_bypass_the_memo():

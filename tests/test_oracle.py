@@ -1,5 +1,6 @@
 import re
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +13,7 @@ from christoffel import (
     alphabet,
     conjugate,
     crosscheck,
+    is_superimposable,
     make_word,
     oracle_frobenius,
     oracle_superimposable,
@@ -66,6 +68,35 @@ def test_oracle_matches_literal_reference_on_christoffel_pairs():
             if len(u) == len(v):
                 expected = brute_superimposable(v, u)
             assert _as_tuple(oracle_superimposable(v, u)) == expected, (v, u)
+
+
+def test_oracle_matches_literal_reference_on_sweep_sized_unequal_pairs():
+    # The fixed word's period mask folds into lcm(n, m)/m = n/gcd(n, m) chunks
+    # of width m.  Seeded length pairs from 61-120 give coprime lengths (the
+    # longest periods, n chunks) and both parities of the chunk count; a
+    # proper divisor n of m gives a single chunk.
+    rng = Random(2010)
+    lengths = [tuple(sorted(rng.sample(range(61, 121), 2))) for _ in range(150)]
+    for m in rng.sample([m for m in range(61, 121) if any(m % d == 0 for d in range(2, m))], 20):
+        lengths.append((rng.choice([n for n in range(2, m) if m % n == 0]), m))
+    chunks = {n // gcd(n, m) for n, m in lengths}
+    assert 1 in chunks and any(c % 2 == 0 for c in chunks) and any(c % 2 and c > 1 for c in chunks)
+    assert any(gcd(n, m) == 1 for n, m in lengths)
+    decisions = set()
+    for n, m in lengths:
+        counts = [(a, b) for a in range(1, n + 1) if gcd(a, n) == 1 for b in range(1, m + 1) if gcd(b, m) == 1]
+        rng.shuffle(counts)
+        # One random count pair, and the first superimposable one if any, so
+        # both decisions occur; the fast path only picks the inputs.
+        picked = counts[:1] + [c for c in counts[1:200]
+                               if is_superimposable(SuperimpositionProblem.from_letter_counts(n, c[0], m, c[1]))][:1]
+        for a, b in picked:
+            u, v = cw(n, a), cw(m, b, "b", "x")
+            for first, second in ((u, v), (v, u)):
+                expected = brute_superimposable(first, second)
+                assert _as_tuple(oracle_superimposable(first, second)) == expected, (n, a, m, b)
+                decisions.add(expected[0])
+    assert decisions == {False, True}
 
 
 _bits = st.lists(st.booleans(), min_size=1, max_size=60)
