@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
@@ -103,84 +102,54 @@ def count_letter(w: Word, letter: str) -> int:
     return w.symbols.count(letter)
 
 
-def _letters_to_test(s: str) -> set[str]:
-    """The letters whose 0/1 indicators decide (circular) balance of `s`.
+def _binary_balanced(s: str, a: str, b: str) -> bool:
+    """True iff `s`, a word over the two letters a and b, is balanced.
 
-    Balance holds iff it holds for every letter's indicator.  With exactly two
-    letters the indicators are complements, so testing the rarer one suffices.
+    Finite balanced words are exactly the factors of Sturmian words
+    (Lothaire, Algebraic Combinatorics on Words, Prop. 2.1.17), and the
+    run-length derivation of a Sturmian word is again Sturmian (Berstel,
+    Lauve, Reutenauer, Saliola 2008).  So each level checks that one letter,
+    b, is isolated and that the runs of the other between two b's take the
+    two lengths k and k + 1, then codes each run and its b by a fresh long
+    or short letter and repeats on the coded word.  A boundary run may be
+    cut off, so it only has to be at most k + 1 long, and is coded only when
+    it is exactly k + 1, i.e. complete.  Each level at least halves the word
+    and is a few whole-string passes.
+    """
+    while True:
+        if a + a not in s:
+            a, b = b, a
+        elif b + b in s:
+            return False
+        r = s.count(b)
+        if r < 2:
+            return True
+        first, last = s.find(b), s.rfind(b)
+        # Only k = floor(mean interior run) can be the short run length.
+        k = (last - first + 1 - r) // (r - 1)
+        head, tail = first, len(s) - 1 - last
+        if head > k + 1 or tail > k + 1:
+            return False
+        long, short = [c for c in "0123" if c not in (a, b)][:2]
+        body = s[first + 1:last + 1].replace(a * (k + 1) + b, long).replace(a * k + b, short)
+        if a in body or b in body:
+            return False
+        s = long * (head == k + 1) + body + long * (tail == k + 1)
+        a, b = long, short
+
+
+def _balanced(s: str) -> bool:
+    """True iff `s` is balanced, i.e. the 0/1 indicator of each of its letters is.
+
+    With two letters the indicators are complements, so `s` itself is tested.
     """
     letters = set(s)
-    if len(letters) == 2:
-        letters.remove(max(letters, key=s.count))
-    return letters
-
-
-def _hull(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
-    """Monotone chain over points sorted by x: the upper hull for sign 1, the lower for -1."""
-    hull: list[tuple[int, int]] = []
-    for x, y in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if sign * ((x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)) < 0:
-                break
-            hull.pop()
-        hull.append((x, y))
-    return hull
-
-
-def _in_strip(upper: list[tuple[int, int]], lower: list[tuple[int, int]]) -> bool:
-    """True iff some slope p/q puts every q*y - p*x of the hulled points in a window narrower than q.
-
-    The width max(q*y - p*x) - min(q*y - p*x), as a function of the slope, is
-    convex and bends only at the hulls' edge slopes, so testing those suffices.
-    They are visited in increasing order: the upper chain's from its right
-    end, the lower chain's from its left, so the upper and lower extreme
-    vertices each move one way only and the pass is linear.
-    """
-    i, j = len(upper) - 1, 0
-    while i > 0 or j < len(lower) - 1:
-        up = low = None
-        if i > 0:
-            (x0, y0), (x1, y1) = upper[i - 1], upper[i]
-            up = (y1 - y0, x1 - x0)
-        if j < len(lower) - 1:
-            (x0, y0), (x1, y1) = lower[j], lower[j + 1]
-            low = (y1 - y0, x1 - x0)
-        if low is None or (up is not None and up[0] * low[1] <= low[0] * up[1]):
-            p, q = up
-            i -= 1
-        else:
-            p, q = low
-            j += 1
-        (xu, yu), (xl, yl) = upper[i], lower[j]
-        if q * (yu - yl) - p * (xu - xl) < q:
-            return True
-    return False
-
-
-def _indicator_balanced(s: str, letter: str) -> bool:
-    """True iff the 0/1 indicator of `letter` in `s` is balanced.
-
-    With h_i the count of `letter` in the first i symbols, the indicator is
-    balanced iff the points (i, h_i) fit in a digital straight segment: some
-    slope p/q keeps every q*h_i - p*i inside a window narrower than q.  Only
-    the convex hulls matter, and their corners sit where a run of `letter`
-    ends (upper hull) or starts (lower hull), so the points are read off the
-    runs.
-    """
-    n = len(s)
-    upper, lower = [(0, 0)], [(0, 0)]
-    h = 0
-    for run in re.finditer(re.escape(letter) + "+", s):
-        start, end = run.span()
-        if start:
-            lower.append((start, h))
-        h += end - start
-        if end < n:
-            upper.append((end, h))
-    upper.append((n, h))
-    lower.append((n, h))
-    return _in_strip(_hull(upper, 1), _hull(lower, -1))
+    if len(letters) < 3:
+        return len(letters) < 2 or _binary_balanced(s, *letters)
+    return all(
+        _binary_balanced(s.translate(str.maketrans(dict.fromkeys(letters, "0") | {c: "1"})), "0", "1")
+        for c in letters
+    )
 
 
 def _christoffel_symbols(n: int, alpha: int, low, high):
@@ -212,28 +181,14 @@ def _christoffel_symbols(n: int, alpha: int, low, high):
     return s * r
 
 
-def _indicator_circularly_balanced(s: str, letter: str) -> bool:
-    """True iff the 0/1 indicator of `letter` in `s` is circularly balanced.
-
-    With k occurrences in length n, that holds iff the indicator is a
-    conjugate of the mechanical word whose i-th letter is
-    (i+1)*k//n - i*k//n, which is C(n, n - k) over (0 < 1) or its power
-    (Berstel, Lauve, Reutenauer, Saliola 2008).
-    """
-    n, k = len(s), s.count(letter)
-    mech = _christoffel_symbols(n, n - k, "0", "1")
-    indicator = s.translate({ord(c): "1" if c == letter else "0" for c in set(s)})
-    return indicator in mech + mech
-
-
 def is_balanced(w: Word) -> bool:
     """True iff all equal-length factors of `w` have letter counts within 1."""
-    return all(_indicator_balanced(w.symbols, c) for c in _letters_to_test(w.symbols))
+    return _balanced(w.symbols)
 
 
 def is_circularly_balanced(w: Word) -> bool:
     """True iff ww is balanced, i.e. `w` is balanced read cyclically."""
-    return all(_indicator_circularly_balanced(w.symbols, c) for c in _letters_to_test(w.symbols))
+    return _balanced(w.symbols * 2)
 
 
 def reverse(w: Word) -> Word:

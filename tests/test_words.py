@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from christoffel import (
     conjugate,
     count_letter,
     decimate,
+    fraenkel_word,
     is_balanced,
     is_circularly_balanced,
     is_primitive,
@@ -26,7 +28,7 @@ from christoffel import (
     reverse,
 )
 
-from conftest import brute_balanced, brute_circularly_balanced, balanced_words, words_upto
+from conftest import brute_balanced, brute_circularly_balanced, balanced_words, cw, words_upto
 
 AX = alphabet("ax")
 DIGITS = alphabet("1234")
@@ -140,19 +142,53 @@ def test_circular_balance_matches_brute_force():
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
 
 
+def test_balance_matches_brute_force_on_deep_factors():
+    """Long factors reach the deeper levels of the desubstitution; slopes of
+    consecutive Fibonacci numbers give the most levels for a length.  A
+    flipped letter, anywhere or at either end, may or may not unbalance it."""
+    assert is_balanced(make_word("aabababaa", alphabet("ab")))
+    assert not is_balanced(make_word("aaababaa", alphabet("ab")))
+    rng = Random(2010)
+    fibonacci = [(21, 13), (34, 21), (55, 34), (89, 55), (144, 89), (233, 144)]
+    slopes = fibonacci + [(n, rng.randint(1, n - 1)) for n in rng.sample(range(16, 161), 24)]
+    cases = []
+    for n, alpha in slopes:
+        word = cw(n, alpha, "a", "b").symbols * (160 // n + 2)  # a power, so factors cross the period
+        for _ in range(2):
+            length = rng.randint(16, 160)
+            start = rng.randrange(len(word) - length + 1)
+            factor = word[start:start + length]
+            for i in (rng.randrange(length), 0, length - 1):
+                cases.append(factor[:i] + "ab"[factor[i] == "a"] + factor[i + 1:])
+            cases.append(factor)
+    fraenkel = fraenkel_word(5).symbols * 3
+    for _ in range(12):
+        length = rng.randint(16, 80)
+        start = rng.randrange(len(fraenkel) - length + 1)
+        factor = fraenkel[start:start + length]
+        i = rng.randrange(length)
+        cases += [factor, factor[:i] + rng.choice("12345".replace(factor[i], "")) + factor[i + 1:]]
+    verdicts = [is_balanced(make_word(s, alphabet(sorted(set(s))))) for s in cases]
+    assert verdicts == [brute_balanced(s) for s in cases]
+    assert 0 < sum(verdicts) < len(cases)
+
+
 def test_predicates_on_long_words():
-    n = 10**4
-    word = christoffel_word(ChristoffelSpec(n, 3001))
+    n = 100_003  # the word length of the `large` benchmark
+    word = christoffel_word(ChristoffelSpec(n, 30_001))
     assert is_balanced(word)
     assert is_primitive(word)
-    for k in range(0, n, 997):
+    assert not is_balanced(make_word(word.symbols + "xx", AX))
+    for k in range(0, n, 9_973):
         assert is_circularly_balanced(conjugate(word, k)), k
-    dense = christoffel_word(ChristoffelSpec(n, 7001))
+    dense = christoffel_word(ChristoffelSpec(n, 70_001))
     assert "aa" in dense.symbols
     assert not is_balanced(make_word(dense.symbols + "xx", AX))
-    power = christoffel_word(ChristoffelSpec(n, 3000))  # the 1000th power of C(10, 3)
+    power = make_word(word.symbols * 3, AX)
     assert not is_primitive(power)
     assert is_balanced(power) and is_circularly_balanced(power)
+    fraenkel = fraenkel_word(12)
+    assert is_balanced(fraenkel) and is_circularly_balanced(fraenkel)
 
 
 def test_import_does_not_load_numpy():
