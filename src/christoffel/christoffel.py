@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .words import OrderedAlphabet, Word, _christoffel_symbols, _is_letter
+from .words import OrderedAlphabet, Word, _christoffel_symbols, _is_letter, _prechecked
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -75,7 +75,11 @@ class PositionSet:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(sorted(self.residues)))
+        residues = tuple(self.residues)
+        kinds = {type(self.modulus), *map(type, residues)}
+        if bool in kinds or not all(issubclass(t, int) for t in kinds):
+            raise ValueError(f"modulus and residues must be ints, got {sorted(t.__name__ for t in kinds)}")
+        object.__setattr__(self, "residues", tuple(sorted(residues)))
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
         if len(set(self.residues)) != len(self.residues):
@@ -109,7 +113,8 @@ _MEMO_SIZE = 256
 
 def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
     alphabet = OrderedAlphabet((low, high))  # validates the letters before they reach str.replace
-    return Word(_christoffel_symbols(n, alpha, low, high), alphabet)
+    # The substitutions only ever write low and high.
+    return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high), alphabet=alphabet)
 
 
 _cached_word = lru_cache(maxsize=_MEMO_SIZE, typed=True)(_build_word)
@@ -149,10 +154,14 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
     d, r = divmod(n, alpha)
     if d >= 255:
         # A byte holds the gap letters only up to d + 1 = 255.  Past that,
-        # alpha <= n/255, so a floor division per position is cheap.
-        return PositionSet(n, tuple(map(alpha.__rfloordiv__, range(0, alpha * n, n))))
-    gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
-    return PositionSet(n, tuple(accumulate(gaps[:-1], initial=0)))
+        # alpha <= n/255, so a floor division per position is cheap.  Its
+        # values k*n // alpha step by at least 255 and stay below n.
+        residues = tuple(map(alpha.__rfloordiv__, range(0, alpha * n, n)))
+    else:
+        # Prefix sums of gaps d >= 1 and d + 1 that add up to n, last one left out.
+        gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
+        residues = tuple(accumulate(gaps[:-1], initial=0))
+    return _prechecked(PositionSet, modulus=n, residues=residues)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .christoffel import windowed_bezout
-from .words import OrderedAlphabet, Word, count_letter
+from .words import OrderedAlphabet, Word, _prechecked, count_letter
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
 # alphabet so every letter stays a single character.
@@ -26,7 +26,8 @@ def fraenkel_word(k: int) -> Word:
     word = _INDEX_LETTERS[0]
     for i in range(1, k):
         word = word + _INDEX_LETTERS[i] + word
-    return Word(word, OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
+    # Built from the first k index letters only.
+    return _prechecked(Word, symbols=word, alphabet=OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
 
 
 def letter_frequencies(w: Word) -> dict[str, int]:

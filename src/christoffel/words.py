@@ -89,6 +89,21 @@ class Word:
         return self.symbols
 
 
+def _prechecked(cls, **fields):
+    """A `cls` value with the given fields, set without running its checks.
+
+    Only for values the library builds from values it has already checked.
+    The caller guarantees that the fields would pass every check of the
+    public constructor and are already in the form it stores: a Word's
+    symbols are a str over its alphabet, and a PositionSet's modulus is a
+    positive int and its residues a strictly increasing tuple of ints in
+    [0, modulus).
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def make_word(symbols, alpha: OrderedAlphabet) -> Word:
     """Build a word over the given alphabet, rejecting foreign symbols."""
     if not isinstance(symbols, str):
@@ -138,16 +153,18 @@ def _binary_balanced(s: str, a: str, b: str) -> bool:
         a, b = long, short
 
 
-def _balanced(s: str) -> bool:
-    """True iff `s` is balanced, i.e. the 0/1 indicator of each of its letters is.
+def _each_indicator(s: str, binary) -> bool:
+    """True iff binary(t, one, zero) holds for the 0/1 indicator t of each letter of `s`.
 
-    With two letters the indicators are complements, so `s` itself is tested.
+    With two letters the indicators are complements, and the tests here hold
+    for a word exactly when they hold with its letters swapped, so `s`
+    itself is tested, once.
     """
     letters = set(s)
     if len(letters) < 3:
-        return len(letters) < 2 or _binary_balanced(s, *letters)
+        return len(letters) < 2 or binary(s, *letters)
     return all(
-        _binary_balanced(s.translate(str.maketrans(dict.fromkeys(letters, "0") | {c: "1"})), "0", "1")
+        binary(s.translate(str.maketrans(dict.fromkeys(letters, "0") | {c: "1"})), "1", "0")
         for c in letters
     )
 
@@ -183,17 +200,30 @@ def _christoffel_symbols(n: int, alpha: int, low, high):
 
 def is_balanced(w: Word) -> bool:
     """True iff all equal-length factors of `w` have letter counts within 1."""
-    return _balanced(w.symbols)
+    return _each_indicator(w.symbols, _binary_balanced)
+
+
+def _christoffel_conjugate(t: str, one: str, zero: str) -> bool:
+    """True iff `t`, a word over one and zero, is a conjugate of C(len(t), t.count(one))."""
+    return t in _christoffel_symbols(len(t), t.count(one), one, zero) * 2
 
 
 def is_circularly_balanced(w: Word) -> bool:
-    """True iff ww is balanced, i.e. `w` is balanced read cyclically."""
-    return _balanced(w.symbols * 2)
+    """True iff ww is balanced, i.e. `w` is balanced read cyclically.
+
+    A word over two letters, of length n with k occurrences of one of them,
+    is circularly balanced exactly when it is a conjugate of the Christoffel
+    word C(n, k) over those letters, which for gcd(n, k) = r > 1 is the r-th
+    power of C(n/r, k/r) (Berstel, Lauve, Reutenauer, Saliola 2008).  So each
+    letter's 0/1 indicator t passes iff it occurs in c + c for that one word
+    c: one Euclid build and one search, without doubling `w`.
+    """
+    return _each_indicator(w.symbols, _christoffel_conjugate)
 
 
 def reverse(w: Word) -> Word:
     """The mirror image of `w`, over the same alphabet."""
-    return Word(w.symbols[::-1], w.alphabet)
+    return _prechecked(Word, symbols=w.symbols[::-1], alphabet=w.alphabet)  # same symbols, reordered
 
 
 def conjugate(w: Word, k: int) -> Word:
@@ -207,7 +237,8 @@ def conjugate(w: Word, k: int) -> Word:
             raise ValueError("cannot rotate the empty word by a nonzero amount")
         return w
     k %= n
-    return Word(w.symbols[k:] + w.symbols[:k], w.alphabet)
+    # The same symbols, rotated, so they stay in the alphabet.
+    return _prechecked(Word, symbols=w.symbols[k:] + w.symbols[:k], alphabet=w.alphabet)
 
 
 def is_primitive(w: Word) -> bool:
@@ -228,7 +259,8 @@ def projection(w: Word, letter: str, filler: str) -> Word:
     if filler in w.alphabet:
         raise ValueError(f"filler {filler!r} collides with the alphabet {w.alphabet.letters}")
     out = w.symbols.translate({ord(c): filler for c in w.alphabet.letters if c != letter})
-    return Word(out, OrderedAlphabet((letter, filler)))
+    # The alphabet checks the filler, and every symbol but `letter` became it.
+    return _prechecked(Word, symbols=out, alphabet=OrderedAlphabet((letter, filler)))
 
 
 class Direction(Enum):
@@ -262,14 +294,17 @@ def decimate(w: Word, spec: DecimationSpec) -> Word:
     never touched.
     """
     w.alphabet.index(spec.letter)
-    # Occurrence j of the letter sits between pieces j-1 and j; it is rejoined
-    # as "" when deleted and as the letter when kept.
+    # Occurrence j of the letter (j = 1..N) sits between pieces j-1 and j, at
+    # out[2j - 1].  It is rejoined as the letter unless deleted.  The deleted
+    # ones are p arithmetic progressions of step q, each one strided slice.
     pieces = w.symbols.split(spec.letter)
     n_occ = len(pieces) - 1
-    joiners = (([""] * spec.p + [spec.letter] * (spec.q - spec.p)) * (n_occ // spec.q + 1))[:n_occ]
-    if spec.direction is Direction.RIGHT_TO_LEFT:
-        joiners.reverse()
-    out = [""] * (2 * n_occ + 1)
+    out = [spec.letter] * (2 * n_occ + 1)
     out[::2] = pieces
-    out[1::2] = joiners
-    return Word("".join(out), w.alphabet)
+    for i in range(min(spec.p, n_occ)):
+        if spec.direction is Direction.LEFT_TO_RIGHT:
+            doomed = slice(2 * i + 1, None, 2 * spec.q)  # occurrences i+1, i+1+q, ...
+        else:
+            doomed = slice(2 * (n_occ - i) - 1, None, -2 * spec.q)  # occurrences N-i, N-i-q, ...
+        out[doomed] = [""] * len(range(*doomed.indices(len(out))))
+    return _prechecked(Word, symbols="".join(out), alphabet=w.alphabet)  # only the letter was deleted

@@ -181,6 +181,36 @@ def test_letter_positions_at_extreme_ratios():
         positions = letter_positions(ChristoffelSpec(n, alpha))
         assert positions.modulus == n
         assert positions.residues == tuple(k * n // alpha for k in range(alpha)), (n, alpha)
+        assert_positions_pass_public_checks(positions)
+
+
+def assert_positions_pass_public_checks(positions):
+    """`letter_positions` skips the checks of `PositionSet`, so its output must pass them."""
+    residues = positions.residues
+    assert type(residues) is tuple and all(type(r) is int for r in residues)
+    assert all(a < b for a, b in zip(residues, residues[1:])), positions.modulus
+    assert PositionSet(positions.modulus, residues) == positions
+
+
+def test_letter_positions_pass_the_public_checks():
+    for n in range(1, 61):
+        for alpha in range(1, n + 1):
+            assert_positions_pass_public_checks(letter_positions(ChristoffelSpec(n, alpha)))
+
+
+def test_position_set_checks():
+    assert PositionSet(7, [5, 0, 3]).residues == (0, 3, 5)
+    for modulus, residues in [(5.5, (1, 2)), (5, (1.5, 2)), (5, (True, 2)), (True, (0,)),
+                              (5.0, ()), ("5", (1,)), (5, (1, "2")), (5, (1, None))]:
+        with pytest.raises(ValueError, match="must be ints"):
+            PositionSet(modulus, residues)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        PositionSet(0, ())
+    with pytest.raises(ValueError, match="distinct"):
+        PositionSet(5, (1, 3, 1))
+    for residues in [(5,), (-1, 2), (0, 7)]:
+        with pytest.raises(ValueError, match=r"lie in \[0, 5\)"):
+            PositionSet(5, residues)
 
 
 def test_letter_positions_examples():

@@ -103,6 +103,46 @@ def test_word_rejects_symbols_that_are_not_a_str():
             Word(symbols, AX)
 
 
+@st.composite
+def words_and_transforms(draw):
+    """A word over 1 to 4 distinct letters, and the arguments of each transform on it."""
+    letters = draw(st.lists(CHARACTERS.filter(str.isprintable), min_size=1, max_size=4, unique=True))
+    w = make_word(draw(st.text(alphabet=st.sampled_from(letters), max_size=60)), OrderedAlphabet(tuple(letters)))
+    q = draw(st.integers(min_value=1, max_value=6))
+    decimation = DecimationSpec(draw(st.integers(0, q)), q, draw(st.sampled_from(list(Direction))),
+                                draw(st.sampled_from(letters)))
+    filler = draw(CHARACTERS.filter(lambda c: c.isprintable() and c not in letters))
+    return w, draw(st.integers(-70, 70)), decimation, draw(st.sampled_from(letters)), filler
+
+
+def assert_word_passes_public_checks(w):
+    """A word a producer builds without the checks of `Word` must pass them."""
+    assert Word(w.symbols, w.alphabet) == w
+
+
+@settings(max_examples=200)
+@given(words_and_transforms())
+def test_transforms_pass_the_public_checks(case):
+    w, k, decimation, letter, filler = case
+    for out in (reverse(w), decimate(w, decimation), projection(w, letter, filler)):
+        assert_word_passes_public_checks(out)
+    if w.symbols:
+        assert_word_passes_public_checks(conjugate(w, k))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3000), st.data(), st.lists(CHARACTERS.filter(str.isprintable), min_size=2, max_size=2, unique=True))
+def test_christoffel_words_pass_the_public_checks(n, data, letters):
+    # Lengths on both sides of the memo bound (1024) take both build paths.
+    alpha = data.draw(st.integers(1, n))
+    assert_word_passes_public_checks(christoffel_word(ChristoffelSpec(n, alpha, *letters)))
+
+
+def test_fraenkel_words_pass_the_public_checks():
+    for k in range(1, 21):
+        assert_word_passes_public_checks(fraenkel_word(k))
+
+
 def test_count_letter():
     assert count_letter(make_word("", AX), "a") == 0
     assert count_letter(make_word("1213121", DIGITS), "1") == 4
@@ -134,10 +174,10 @@ def test_balance_matches_brute_force():
 
 
 def test_circular_balance_matches_brute_force():
-    for s in words_upto("ab", 12):
+    for s in words_upto("ab", 14):
         w = make_word(s, alphabet("ab"))
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
-    for s in words_upto("abc", 7):
+    for s in words_upto("abc", 8):
         w = make_word(s, alphabet("abc"))
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
 
