@@ -51,12 +51,17 @@ class ChristoffelSpec:
     high: str = "x"
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.alpha) is not int:
+            raise TypeError(f"n and alpha must be ints, got {self.n!r} and {self.alpha!r}")
         if self.n < 1:
             raise ValueError(f"length must be positive, got {self.n}")
         if not 1 <= self.alpha <= self.n:
             raise ValueError(f"need 1 <= alpha <= n, got alpha={self.alpha}, n={self.n}")
         if self.low == self.high:
             raise ValueError("low and high letters must differ")
+        for c in (self.low, self.high):
+            if not _is_letter(c):
+                raise ValueError(f"letter {c!r} is not a single printable character")
 
     @property
     def beta(self) -> int:
@@ -103,10 +108,7 @@ class PositionSet:
 # short builds are memoised by (n, alpha, low, high); long words are never
 # kept alive.  The memo holds at most _MEMO_SIZE * _MEMO_MAX_N symbols
 # (256 * 1024).  A hit returns an equal, immutable Word without building its
-# alphabet again.  Only valid letters reach the memo: any other letter, even
-# an unhashable one, goes to the uncached build, which rejects it, and leaves
-# the memo untouched.  typed=True keeps 5.0 and True apart from 5 and 1, so
-# a spec the build rejects is rejected whatever was built before.
+# alphabet again.
 _MEMO_MAX_N = 1024
 _MEMO_SIZE = 256
 
@@ -117,7 +119,7 @@ def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
     return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high), alphabet=alphabet)
 
 
-_cached_word = lru_cache(maxsize=_MEMO_SIZE, typed=True)(_build_word)
+_cached_word = lru_cache(maxsize=_MEMO_SIZE)(_build_word)
 
 
 def christoffel_word(spec: ChristoffelSpec) -> Word:
@@ -130,10 +132,8 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
     Words of length up to 1024 come from a bounded memo of recent builds,
     keyed by (n, alpha, low, high).
     """
-    n, alpha, low, high = spec.n, spec.alpha, spec.low, spec.high
-    if n <= _MEMO_MAX_N and _is_letter(low) and _is_letter(high):
-        return _cached_word(n, alpha, low, high)
-    return _build_word(n, alpha, low, high)
+    build = _cached_word if spec.n <= _MEMO_MAX_N else _build_word
+    return build(spec.n, spec.alpha, spec.low, spec.high)
 
 
 def letter_positions(spec: ChristoffelSpec) -> PositionSet:

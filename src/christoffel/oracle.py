@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import floor, lcm
 
 from .money import CoinPair
-from .superimpose import SuperimpositionProblem, analyze, canonical_witness, perfectly_superimposable
+from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, canonical_witness,
+                          perfectly_superimposable)
 from .words import Word
 
 
@@ -26,58 +27,45 @@ class OracleResult:
     modulus: int
 
 
-def _mark_mask(w: Word, mark: str, filler: str, copies: int) -> int:
-    """Bit i is set iff letter i of `w` repeated `copies` times is `mark`.
-
-    One copy is parsed, then the copies are laid side by side by the binary
-    method: for each bit of `copies` from the top the mask is doubled, and a
-    set bit appends one more parsed copy.
-    """
-    n = len(w)
-    one = int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")), 2)
-    mask, have = one, 1
-    for bit in bin(copies)[3:]:
-        mask |= mask << n * have
-        have *= 2
-        if bit == "1":
-            mask = mask << n | one
-            have += 1
-    return mask
+def _mark_mask(w: Word, mark: str, filler: str) -> int:
+    """Bit i is set iff letter i of `w` is `mark`."""
+    return int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")), 2)
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     """Try every shift of the longer word and test residue disjointness directly.
 
     The operands are ordered so the shifted word is the longer one, of length
-    m.  The shorter word's marks become one bit mask over the whole period
-    lcm(len(u), len(v)).  The moving word repeats every m letters, so a mark
-    of the fixed word at time t meets the moving word rotated by k exactly
-    when the moving word has a mark at (t + k) mod m.  The period mask is
-    therefore cut into period/m chunks of width m and folded, by halving,
-    into one m-bit mask of the times t mod m that carry a fixed mark.  The
-    moving mask is two copies of the longer word, so bits [k, k + m) of it
-    are its rotation by k, and each of the m shifts is one shift-and-AND.
+    m.  The moving word repeats every m letters, so a mark of the fixed word
+    at time t meets the moving word rotated by k exactly when the moving word
+    has a mark at (t + k) mod m.  The lcm(n, m)/n copies of the fixed word
+    that make up one common period are therefore laid on a circle of m bits,
+    copy j rotated by j*n mod m, by the binary method: a mask of h copies is
+    doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
+    it by n and ORs in one more copy.  The moving mask is two copies of the
+    longer word, so bits [k, k + m) of it are its rotation by k, and each of
+    the m shifts is one shift-and-AND.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
-    lu, lv = set(u.alphabet.letters), set(v.alphabet.letters)
-    if len(lu) != 2 or len(lv) != 2 or len(lu & lv) != 1:
-        raise ValueError(
-            f"alphabets {u.alphabet.letters} and {v.alphabet.letters} must share exactly the filler"
-        )
-    (filler,) = lu & lv
+    mark_u, mark_v, filler = _marked_letters(u, v)
     n, m = len(u), len(v)
     if n > m:
-        u, v, lu, lv, n, m = v, u, lv, lu, m, n
-    period = lcm(n, m)
-    fixed = _mark_mask(u, (lu - lv).pop(), filler, period // n)
-    chunks = period // m
-    while chunks > 1:
-        keep = chunks - chunks // 2
-        width = keep * m
-        fixed = fixed & ((1 << width) - 1) | fixed >> width
-        chunks = keep
-    moving = _mark_mask(v, (lv - lu).pop(), filler, 2)
+        u, v, mark_u, mark_v, n, m = v, u, mark_v, mark_u, m, n
+    one, full = _mark_mask(u, mark_u, filler), (1 << m) - 1
+
+    def rotate(mask: int, k: int) -> int:
+        return (mask << k | mask >> m - k) & full
+
+    fixed, have = one, 1
+    for bit in bin(lcm(n, m) // n)[3:]:
+        fixed |= rotate(fixed, have * n % m)
+        have *= 2
+        if bit == "1":
+            fixed = rotate(fixed, n) | one
+            have += 1
+    moving = _mark_mask(v, mark_v, filler)
+    moving |= moving << m
     witnesses = tuple([k for k in range(m) if not (moving >> k) & fixed])
     return OracleResult(bool(witnesses), witnesses, m)
 

@@ -185,10 +185,8 @@ def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:
 def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
     """Resolve (mark of u, mark of v, shared filler) from two binary alphabets."""
     lu, lv = set(u.alphabet.letters), set(v.alphabet.letters)
-    if len(lu) != 2 or len(lv) != 2:
-        raise ValueError("both words must use two-letter alphabets")
     common = lu & lv
-    if len(common) != 1:
+    if len(lu) != 2 or len(lv) != 2 or len(common) != 1:
         raise ValueError(
             f"alphabets {u.alphabet.letters} and {v.alphabet.letters} must share exactly the filler"
         )

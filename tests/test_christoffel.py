@@ -117,10 +117,9 @@ def test_memoised_builds_match_brute_force_on_both_sides_of_the_cutoff():
 
 def test_memo_keeps_the_checks_of_the_build():
     assert cw(8, 5).symbols == "aaxaaxax"
-    with pytest.raises(TypeError):
-        christoffel_word(ChristoffelSpec(8, 5.0))
-    with pytest.raises(TypeError):
-        christoffel_word(ChristoffelSpec(8.0, 5))
+    for n, alpha in ((8, 5.0), (8.0, 5), (True, True), (5, 2.0), (True, 1)):
+        with pytest.raises(TypeError):
+            christoffel_word(ChristoffelSpec(n, alpha))
     # Rejected letters raise every time, and never reach the memo.
     for letter in (["a"], 1, "\n", "ab"):
         before = _cached_word.cache_info()

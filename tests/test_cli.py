@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import os
 import shlex
@@ -36,6 +38,32 @@ def readme_commands():
     # A smaller sweep reaches the same functions as the README's.
     return [["oracle-check", "--max-n", "8", "--unequal-max", "6"] if argv[0] == "oracle-check" else argv
             for argv in commands]
+
+
+README_BYTES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "readme_cli.json")
+
+
+def readme_runs():
+    """Each README command, in text and --json form, with its stdout, stderr and exit status."""
+    runs = []
+    for argv in readme_commands():
+        for form in (argv, argv + ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(form)
+            runs.append({"argv": form, "status": status, "stdout": out.getvalue(), "stderr": err.getvalue()})
+    return runs
+
+
+def test_readme_commands_print_the_recorded_bytes():
+    # The record is written once by `PYTHONPATH=src python tests/test_cli.py`
+    # and never edited to make a change pass.
+    with open(README_BYTES, encoding="utf-8") as f:
+        recorded = json.load(f)
+    runs = readme_runs()
+    assert [run["argv"] for run in runs] == [run["argv"] for run in recorded]
+    for run, expected in zip(runs, recorded):
+        assert run == expected, run["argv"]
 
 
 def test_every_operation_is_reachable(capsys):
@@ -389,3 +417,9 @@ def test_oracle_check_holds_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert ": 0 disagreements" in done.stdout
+
+
+if __name__ == "__main__":
+    with open(README_BYTES, "w", encoding="utf-8") as f:
+        json.dump(readme_runs(), f, indent=1)
+        f.write("\n")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import gcd
 from random import Random
 
@@ -71,16 +72,16 @@ def test_oracle_matches_literal_reference_on_christoffel_pairs():
 
 
 def test_oracle_matches_literal_reference_on_sweep_sized_unequal_pairs():
-    # The fixed word's period mask folds into lcm(n, m)/m = n/gcd(n, m) chunks
-    # of width m.  Seeded length pairs from 61-120 give coprime lengths (the
-    # longest periods, n chunks) and both parities of the chunk count; a
-    # proper divisor n of m gives a single chunk.
+    # One common period holds m/gcd(n, m) copies of the fixed word and
+    # n/gcd(n, m) of the moving one.  Seeded length pairs from 61-120 give
+    # coprime lengths (the longest periods) and both parities of the moving
+    # copy count; a proper divisor n of m gives a single moving copy.
     rng = Random(2010)
     lengths = [tuple(sorted(rng.sample(range(61, 121), 2))) for _ in range(150)]
     for m in rng.sample([m for m in range(61, 121) if any(m % d == 0 for d in range(2, m))], 20):
         lengths.append((rng.choice([n for n in range(2, m) if m % n == 0]), m))
-    chunks = {n // gcd(n, m) for n, m in lengths}
-    assert 1 in chunks and any(c % 2 == 0 for c in chunks) and any(c % 2 and c > 1 for c in chunks)
+    copies = {n // gcd(n, m) for n, m in lengths}
+    assert 1 in copies and any(c % 2 == 0 for c in copies) and any(c % 2 and c > 1 for c in copies)
     assert any(gcd(n, m) == 1 for n, m in lengths)
     decisions = set()
     for n, m in lengths:
@@ -97,6 +98,40 @@ def test_oracle_matches_literal_reference_on_sweep_sized_unequal_pairs():
                 assert _as_tuple(oracle_superimposable(first, second)) == expected, (n, a, m, b)
                 decisions.add(expected[0])
     assert decisions == {False, True}
+
+
+def test_oracle_matches_literal_reference_on_long_pairs():
+    # Lengths 150-600, where the common period runs to ~360,000 letters:
+    # random pairs, pairs with a large common factor, and divisor pairs.
+    rng = Random(2012)
+    lengths = [tuple(rng.sample(range(150, 601), 2)) for _ in range(14)]
+    for g in (rng.randint(150, 300) for _ in range(12)):
+        lengths.append((g * rng.randint(1, 600 // g), g * rng.randint(1, 600 // g)))
+    lengths += [(200, 600), (151, 453), (597, 199)]
+    assert any(n != m and (n % m == 0 or m % n == 0) for n, m in lengths)
+    decisions = set()
+    for n, m in lengths:
+        a = rng.choice([c for c in range(1, 40) if gcd(c, n) == 1])
+        b = rng.choice([c for c in range(1, 40) if gcd(c, m) == 1])
+        u, v = cw(n, a), cw(m, b, "b", "x")
+        for first, second in ((u, v), (v, u)):
+            expected = brute_superimposable(first, second)
+            assert _as_tuple(oracle_superimposable(first, second)) == expected, (n, a, m, b)
+            decisions.add(expected[0])
+    assert decisions == {False, True}
+
+
+def test_oracle_memory_is_linear_in_the_lengths():
+    # One common period of 4001 x 4003 is ~16 million letters; the masks the
+    # oracle holds are a few 4003-bit ints.
+    u, v = cw(4001, 1000), cw(4003, 1000, "b", "x")
+    tracemalloc.start()
+    try:
+        oracle_superimposable(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 _bits = st.lists(st.booleans(), min_size=1, max_size=60)

@@ -351,6 +351,24 @@ def test_canonical_shift_and_lifts_validate():
             assert perfectly_superimposable(u, conjugate(reverse(v), shift)), (problem, shift)
 
 
+def test_every_lift_is_an_oracle_witness():
+    # reverse(v) is the conjugate of v that undoes a rotation by c, found by
+    # trying every rotation, so a lift s of the reversed word rotates v
+    # itself by s - c.
+    for m in range(2, 31):
+        for b_count in coprimes(m):
+            v = cw(m, b_count, "b", "x")
+            (c,) = [k for k in range(m) if conjugate(reverse(v), k) == v]
+            for n in range(2, m + 1):
+                for a_count in coprimes(n):
+                    problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
+                    if not is_superimposable(problem):
+                        continue
+                    witnesses = set(oracle_superimposable(cw(n, a_count), v).witnesses)
+                    for s in canonical_shift_lifts(problem):
+                        assert (s - c) % m in witnesses, (n, a_count, m, b_count, s)
+
+
 def test_canonical_shift_validates_unequal_lengths():
     for n in range(2, 25):
         for m in range(2, 25):
