@@ -176,7 +176,7 @@ def _cmd_superimpose(args):
 
 def _cmd_decimate(args):
     word = _word(args)
-    spec = DecimationSpec(args.p, args.q, Direction(args.direction), args.letter)
+    spec = DecimationSpec(args.p, args.q, args.direction, args.letter)
     out = decimate(word, spec)
     payload = {"word": word.symbols, "letter": args.letter,
                "p": args.p, "q": args.q, "direction": args.direction, "result": out.symbols}

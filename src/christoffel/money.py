@@ -17,6 +17,8 @@ class CoinPair:
     b: int
 
     def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:
+            raise TypeError(f"denominations must be ints, got {self.a!r} and {self.b!r}")
         if self.a < 1 or self.b < 1:
             raise ValueError("denominations must be positive")
         if gcd(self.a, self.b) != 1:

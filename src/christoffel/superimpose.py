@@ -33,7 +33,10 @@ class SuperimpositionProblem:
 
     def __post_init__(self):
         for name in ("n", "m", "q", "alpha", "beta"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
         if gcd(self.alpha, self.beta) != 1:
             raise ValueError(f"alpha and beta must be coprime, got {self.alpha}, {self.beta}")
@@ -49,6 +52,8 @@ class SuperimpositionProblem:
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
         """Decompose raw marked-letter counts as q*alpha, q*beta with q = gcd."""
+        if type(a_count) is not int or type(b_count) is not int:
+            raise TypeError(f"marked-letter counts must be ints, got {a_count!r} and {b_count!r}")
         if a_count < 1 or b_count < 1:
             raise ValueError("marked-letter counts must be positive")
         q = gcd(a_count, b_count)

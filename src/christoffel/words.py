@@ -241,13 +241,36 @@ def conjugate(w: Word, k: int) -> Word:
     return _prechecked(Word, symbols=w.symbols[k:] + w.symbols[:k], alphabet=w.alphabet)
 
 
+def _prime_divisors(n: int):
+    """The distinct prime divisors of n >= 1, in increasing order, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
 def is_primitive(w: Word) -> bool:
-    """True iff `w` is not a power of a strictly shorter word."""
+    """True iff `w` is not a power of a strictly shorter word.
+
+    A word w of length n is a power u**k with k >= 2 exactly when it has
+    period n/p for some prime p dividing n.  If w = u**k, any prime p
+    dividing k gives w = (u**(k/p))**p, of period n/p.  Conversely a period
+    d < n that divides n gives w = (w[:d])**(n/d).  So the prime divisors of
+    n are found by trial division up to sqrt(n), and for each p one
+    comparison of w with its suffix from n/p decides that period.  That is
+    O(sqrt(n)) steps and at most one C-speed comparison per distinct prime
+    divisor, with at most n - n/p characters copied at a time.
+    """
     s = w.symbols
     if not s:
         raise ValueError("primitivity is undefined for the empty word")
-    # w is a proper power iff it occurs in ww at a shift strictly inside (0, n).
-    return (s + s).find(s, 1) == len(s)
+    n = len(s)
+    return not any(s.startswith(s[n // p:]) for p in _prime_divisors(n))
 
 
 def projection(w: Word, letter: str, filler: str) -> Word:
@@ -270,7 +293,12 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class DecimationSpec:
-    """Remove p occurrences out of every q of `letter`, scanning in `direction`."""
+    """Remove p occurrences out of every q of `letter`, scanning in `direction`.
+
+    `direction` is a `Direction` or its value, "left-to-right" or
+    "right-to-left", and is stored as the `Direction`; anything else raises
+    ValueError.
+    """
 
     p: int
     q: int
@@ -278,6 +306,9 @@ class DecimationSpec:
     letter: str = field(default="a")
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise TypeError(f"p and q must be ints, got {self.p!r} and {self.q!r}")
+        object.__setattr__(self, "direction", Direction(self.direction))
         if self.q < 1:
             raise ValueError("block size q must be positive")
         if not 0 <= self.p <= self.q:

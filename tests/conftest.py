@@ -87,6 +87,12 @@ def brute_circularly_balanced(s):
     return brute_balanced(s + s)
 
 
+def brute_primitive(s):
+    """Primitivity by trying every proper divisor d of the length as a root length."""
+    n = len(s)
+    return not any(n % d == 0 and s == s[:d] * (n // d) for d in range(1, n))
+
+
 def balanced_words(letters, max_len):
     """All balanced words up to max_len, grown by DFS.
 

@@ -21,6 +21,9 @@ def test_coin_pair_validation():
         CoinPair(4, 6)
     with pytest.raises(ValueError):
         CoinPair(0, 3)
+    for a, b in ((True, 3), (3, True), (2.0, 3), (2, 3.0), ("2", 3)):
+        with pytest.raises(TypeError, match="denominations must be ints"):
+            CoinPair(a, b)
 
 
 def test_frobenius_examples():

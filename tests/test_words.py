@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import gcd
 from random import Random
 
 import pytest
@@ -28,7 +30,8 @@ from christoffel import (
     reverse,
 )
 
-from conftest import brute_balanced, brute_circularly_balanced, balanced_words, cw, words_upto
+from conftest import (brute_balanced, brute_circularly_balanced, brute_primitive, balanced_words, cw,
+                      words_upto)
 
 AX = alphabet("ax")
 DIGITS = alphabet("1234")
@@ -322,6 +325,42 @@ def test_is_primitive():
         is_primitive(make_word("", AX))
 
 
+def test_is_primitive_matches_brute_force_on_all_short_words():
+    for letters, max_len in (("ab", 14), ("abc", 9)):
+        over = alphabet(letters)
+        for s in words_upto(letters, max_len):
+            if s:
+                assert is_primitive(make_word(s, over)) == brute_primitive(s), s
+
+
+def test_is_primitive_matches_brute_force_on_long_powers():
+    # Lengths with many small prime factors, a large power of 2, a prime
+    # square and a prime; u**k has exactly that length when k divides it.
+    rng = Random(13)
+    for length in (30_030, 2**16, 101**2, 100_003):
+        for k in range(1, 8):
+            m = length // k
+            alpha = next(a for a in range(m * 3 // 8, m) if gcd(a, m) == 1)
+            roots = [cw(m, alpha).symbols, "".join(rng.choice("ax") for _ in range(m))]
+            for root in roots:
+                s = root * k
+                # With its last letter changed, s loses every period it had.
+                for t in (s, s[:-1] + ("a" if s[-1] == "x" else "x")):
+                    assert is_primitive(make_word(t, AX)) == brute_primitive(t), (length, k)
+            assert is_primitive(make_word(roots[0] * k, AX)) == (k == 1)
+
+
+def test_is_primitive_does_not_double_the_word():
+    word = cw(100_003, 37_001)
+    tracemalloc.start()
+    try:
+        assert is_primitive(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(word)
+
+
 def test_projection_examples():
     w = make_word("1232343112", DIGITS)
     assert projection(w, "1", "x").symbols == "1xxxxxx11x"
@@ -363,6 +402,22 @@ def test_decimation_spec_validation():
         DecimationSpec(2, 1, Direction.LEFT_TO_RIGHT, "a")
     with pytest.raises(ValueError):
         DecimationSpec(-1, 3, Direction.LEFT_TO_RIGHT, "a")
+    for direction in ("sideways", "LEFT_TO_RIGHT", None, 0):
+        with pytest.raises(ValueError):
+            DecimationSpec(1, 2, direction, "a")
+    for p, q in ((1, 2.0), (1.0, 2), (True, 2), (1, True), ("1", 2)):
+        with pytest.raises(TypeError):
+            DecimationSpec(p, q, Direction.LEFT_TO_RIGHT, "a")
+
+
+def test_decimation_spec_takes_direction_values():
+    w = cw(7, 4)  # aaxaxax
+    expected = {"left-to-right": "axxax", "right-to-left": "axaxx"}
+    for value, result in expected.items():
+        spec = DecimationSpec(1, 2, value)
+        assert spec.direction is Direction(value)
+        assert spec == DecimationSpec(1, 2, Direction(value))
+        assert decimate(w, spec).symbols == result
 
 
 def _reference_decimate(s, p, q, direction, letter):
