@@ -247,7 +247,7 @@ def _cmd_boundary(args):
                "cells": sorted([x, y, value] for (x, y), value in walk.cells.items())}
     lines = [walk.word.symbols]
     if args.values:
-        values = shifted_cayley(coins) if min(args.a, args.b) >= 2 else walk.values
+        values = shifted_cayley(coins)
         payload["shifted_cayley"] = list(values)
         lines.append(", ".join(str(v) for v in values))
     return OK, payload, lines

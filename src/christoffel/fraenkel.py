@@ -21,6 +21,8 @@ def fraenkel_word(k: int) -> Word:
     Length 2**k - 1, with letter i occurring 2**(k-i) times.  k is capped at
     20 to keep the doubling recursion bounded.
     """
+    if type(k) is not int:
+        raise TypeError(f"index must be an int, got {k!r}")
     if not 1 <= k <= MAX_FRAENKEL_INDEX:
         raise ValueError(f"index must lie in [1, {MAX_FRAENKEL_INDEX}], got {k}")
     word = _INDEX_LETTERS[0]
@@ -44,6 +46,9 @@ class BeattySpec:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if type(self.numerator) is not int or type(self.denominator) is not int:
+            raise TypeError(f"numerator and denominator must be ints, "
+                            f"got {self.numerator!r} and {self.denominator!r}")
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
         object.__setattr__(self, "offset", Fraction(self.offset))
@@ -57,7 +62,7 @@ def beatty_slice(spec: BeattySpec, lo: int, hi: int) -> list[int]:
     """The terms floor(slope*i + offset) for i = lo..hi, in exact arithmetic."""
     if lo > hi:
         raise ValueError(f"empty index range: {lo} > {hi}")
-    slope = Fraction(spec.numerator, spec.denominator)
+    slope = spec.slope
     return [floor(slope * i + spec.offset) for i in range(lo, hi + 1)]
 
 
@@ -71,6 +76,8 @@ def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     exist exactly when x*u1 + y*u2 = p - 2*u1*u2*(q-1) has a positive
     solution.  u1 and u2 are always coprime.
     """
+    if type(p1) is not int or type(q1) is not int or type(p2) is not int or type(q2) is not int:
+        raise TypeError(f"slope parameters must be ints, got {p1!r}, {q1!r}, {p2!r} and {q2!r}")
     if min(p1, q1, p2, q2) < 1:
         raise ValueError("slope parameters must be positive")
     g1, g2 = gcd(p1, q1), gcd(p2, q2)

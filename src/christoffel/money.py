@@ -46,6 +46,8 @@ def representable(coins: CoinPair, amount: int) -> bool:
     The smallest x >= 0 with a*x = amount (mod b) is amount * a^-1 mod b; the
     amount is payable iff that x leaves a nonnegative remainder for y.
     """
+    if type(amount) is not int:
+        raise TypeError(f"amount must be an int, got {amount!r}")
     if amount < 0:
         raise ValueError("amounts are nonnegative")
     x = amount * modular_inverse(coins.a, coins.b) % coins.b
@@ -102,8 +104,6 @@ def shifted_cayley(coins: CoinPair) -> tuple[int, ...]:
 
     The first and last entries both equal the Frobenius number a*b - a - b.
     """
-    if coins.a < 2 or coins.b < 2:
-        raise ValueError("both denominations must be at least 2")
     a, b = coins.a, coins.b
     shift = a * b - a - b
     graph = cayley_graph(ChristoffelSpec(a + b, a))

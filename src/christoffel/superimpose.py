@@ -249,6 +249,8 @@ def reversal_superimposition_criterion(n: int, alpha: int, beta: int) -> bool:
     Equivalent to the existence of positive integers x, y with
     alpha*x + beta*y = n.  Requires alpha and beta coprime.
     """
+    if type(n) is not int or type(alpha) is not int or type(beta) is not int:
+        raise TypeError(f"n, alpha and beta must be ints, got {n!r}, {alpha!r} and {beta!r}")
     if n < 1:
         raise ValueError("length must be positive")
     if not (1 <= alpha <= n and 1 <= beta <= n):

@@ -1,7 +1,7 @@
 """Shared helpers: independent brute-force reference checks used across the suite."""
 
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import settings
 
@@ -9,6 +9,10 @@ from christoffel import ChristoffelSpec, christoffel_word
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+def coprimes(n):
+    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
 def cw(n, alpha, low="a", high="x"):

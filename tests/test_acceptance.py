@@ -1,11 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The heavy superimposition grid (criteria 3-5) is swept once by a module
-fixture.  Lengths up to 40 are covered exhaustively for every operand pair;
-for longer unequal pairs every instance that could possibly superimpose
-(marked counts within the gcd bound, plus a margin) is included together
-with deterministic sparse samples, since the literal full cross product is
-tens of millions of oracle runs.
+The fast-vs-oracle grid (criteria 3-5) and the structural invariants
+(criteria 9-10) are checked here and nowhere else; the unit modules keep
+examples, error cases and the properties no criterion states.
+
+The heavy superimposition grid is swept once by a module fixture.  Lengths
+up to 40 are covered exhaustively for every operand pair; for longer unequal
+pairs every instance that could possibly superimpose (marked counts within
+the gcd bound, plus a margin) is included together with deterministic sparse
+samples, since the literal full cross product is tens of millions of oracle
+runs.
 """
 
 import time
@@ -50,14 +54,10 @@ from christoffel import (
 )
 from christoffel.cli import main
 
-from conftest import cw, scan_positions
+from conftest import coprimes, cw, scan_positions
 
 GRID_MAX = 120
 EXHAUSTIVE_MAX = 40
-
-
-def coprimes(n):
-    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
 
 
 def run_cli(capsys, *args):
@@ -281,8 +281,9 @@ def test_criterion_8_money_problem():
 
 
 def test_criterion_9_fraenkel_properties():
-    for k in range(1, 11):
+    for k in range(1, 13):
         word = fraenkel_word(k)
+        assert len(word) == 2 ** k - 1, k
         assert is_circularly_balanced(word), k
         freq = letter_frequencies(word)
         expected = {word.alphabet.letters[i - 1]: 2 ** (k - i) for i in range(1, k + 1)}
@@ -290,7 +291,9 @@ def test_criterion_9_fraenkel_properties():
     for k in range(1, 7):
         word = fraenkel_word(k)
         for letter in word.alphabet.letters:
-            assert is_circularly_balanced(projection(word, letter, "x")), (k, letter)
+            proj = projection(word, letter, "x")
+            assert is_circularly_balanced(proj), (k, letter)
+            assert proj.symbols.count(letter) == word.symbols.count(letter), (k, letter)
     print("\nACCEPTANCE 9: PASS - Fraenkel words balanced with dyadic frequencies")
 
 

@@ -236,15 +236,6 @@ def test_position_membership_matches_scan():
     assert 3 not in PositionSet(5, ())
 
 
-def test_positions_match_word_scan_for_powers():
-    for n in range(2, 121):
-        for alpha in range(1, n):
-            if gcd(alpha, n) == 1:
-                continue
-            word = cw(n, alpha)
-            assert set(letter_positions(ChristoffelSpec(n, alpha))) == scan_positions(word, "a"), (n, alpha)
-
-
 def test_reversal_identity():
     # Reversal swaps the letter order: the mirror of C(n, alpha) over (a < x)
     # spells C(n, n - alpha) over (x < a).
@@ -284,27 +275,6 @@ def test_power_decomposition():
                 continue
             for q in range(1, 200 // n + 1):
                 assert cw(n * q, alpha * q).symbols == cw(n, alpha).symbols * q
-
-
-def test_mirror_position_rule():
-    # i holds the low letter in the mirror of C(n, alpha) exactly when some
-    # multiple of n lands in (i*alpha, (i+1)*alpha].
-    for n in range(2, 101):
-        for alpha in range(1, n):
-            if gcd(alpha, n) != 1:
-                continue
-            mirrored = reverse(cw(n, alpha))
-            expected = {i for i in range(n) if (i + 1) * alpha // n > i * alpha // n}
-            assert scan_positions(mirrored, "a") == expected, (n, alpha)
-
-
-def test_position_subset_when_counts_divide():
-    for n in range(1, 101):
-        for alpha in range(1, n + 1):
-            pos_a = scan_positions(cw(n, alpha), "a")
-            for beta in range(alpha, n + 1, alpha):
-                pos_b = scan_positions(cw(n, beta), "a")
-                assert pos_a <= pos_b, (n, alpha, beta)
 
 
 def test_cayley_graph_examples():

@@ -304,6 +304,9 @@ def test_boundary(capsys):
     status, out, _ = run_cli(capsys, "boundary", "--a", "8", "--b", "5", "--values")
     lines = out.splitlines()
     assert lines[1] == "27, 32, 37, 29, 34, 39, 31, 36, 28, 33, 38, 30, 35, 27"
+    status, out, _ = run_cli(capsys, "boundary", "--a", "1", "--b", "5", "--values")
+    assert status == 0
+    assert out == "αβββββ\n-1, 4, 3, 2, 1, 0, -1\n"
 
 
 def test_fraenkel(capsys):

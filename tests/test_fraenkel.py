@@ -9,13 +9,11 @@ from christoffel import (
     beatty_disjoint_exists,
     beatty_slice,
     fraenkel_word,
-    is_circularly_balanced,
     is_superimposable,
     letter_frequencies,
     make_word,
     alphabet,
     oracle_beatty_disjoint,
-    projection,
 )
 
 
@@ -30,16 +28,9 @@ def test_fraenkel_word_guard():
         fraenkel_word(0)
     with pytest.raises(ValueError):
         fraenkel_word(21)
-
-
-def test_fraenkel_lengths_and_frequencies():
-    for k in range(1, 13):
-        word = fraenkel_word(k)
-        assert len(word) == 2 ** k - 1
-        freq = letter_frequencies(word)
-        expected = {word.alphabet.letters[i - 1]: 2 ** (k - i) for i in range(1, k + 1)}
-        assert freq == expected
-        assert len(set(freq.values())) == k
+    for k in (True, 3.0, "3"):
+        with pytest.raises(TypeError, match="index must be an int"):
+            fraenkel_word(k)
 
 
 def test_fraenkel_recursion_structure():
@@ -47,20 +38,6 @@ def test_fraenkel_recursion_structure():
         prev = fraenkel_word(k - 1).symbols
         cur = fraenkel_word(k).symbols
         assert cur == prev + cur[len(prev)] + prev
-
-
-def test_fraenkel_circularly_balanced():
-    for k in range(1, 9):
-        assert is_circularly_balanced(fraenkel_word(k)), k
-
-
-def test_fraenkel_projections_circularly_balanced():
-    for k in range(1, 7):
-        word = fraenkel_word(k)
-        for letter in word.alphabet.letters:
-            proj = projection(word, letter, "x")
-            assert is_circularly_balanced(proj), (k, letter)
-            assert proj.symbols.count(letter) == word.symbols.count(letter)
 
 
 def test_letter_frequencies_examples():
@@ -87,6 +64,9 @@ def test_beatty_slice_exact_rational_floors():
 def test_beatty_spec_validation():
     with pytest.raises(ValueError):
         BeattySpec(3, 0)
+    for numerator, denominator in ((True, 2), (1.5, 2), (3, 2.0), (3, True)):
+        with pytest.raises(TypeError, match="numerator and denominator must be ints"):
+            BeattySpec(numerator, denominator)
 
 
 def test_beatty_disjoint_examples():
@@ -106,6 +86,9 @@ def test_beatty_disjoint_normalises_slopes():
 def test_beatty_disjoint_rejects_nonpositive():
     with pytest.raises(ValueError):
         beatty_disjoint_exists(0, 1, 3, 1)
+    for args in ((13, 4.0, 13, 3), (True, 4, 13, 3), (13, 4, 13, "3")):
+        with pytest.raises(TypeError, match="slope parameters must be ints"):
+            beatty_disjoint_exists(*args)
 
 
 def test_beatty_matches_superimposition_dictionary():

@@ -46,6 +46,9 @@ def test_representable_examples():
     assert representable(CoinPair(2, 5), 0)
     assert not representable(CoinPair(8, 5), 27)
     assert representable(CoinPair(8, 5), 28)
+    for amount in (2.5, True, "3"):
+        with pytest.raises(TypeError, match="amount must be an int"):
+            representable(CoinPair(3, 5), amount)
 
 
 def test_representable_matches_scan():
@@ -79,9 +82,13 @@ def test_boundary_cells_stay_under_product():
 
 
 def test_boundary_values_retrace_shifted_cayley():
-    for a, b in [(2, 3), (8, 5), (3, 7), (9, 2)]:
-        walk = boundary_word(CoinPair(a, b))
-        assert walk.values == shifted_cayley(CoinPair(a, b))
+    # Unit coins included: their Frobenius number is a*b - a - b = -1.
+    for a in range(1, 13):
+        for b in range(1, 13):
+            if gcd(a, b) != 1:
+                continue
+            walk = boundary_word(CoinPair(a, b))
+            assert walk.values == shifted_cayley(CoinPair(a, b)), (a, b)
 
 
 def test_shifted_cayley_examples():

@@ -1,4 +1,4 @@
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 import christoffel.superimpose as superimpose_module
 from christoffel import (
     BezoutSolution,
-    ChristoffelSpec,
     SuperimpositionProblem,
     alphabet,
     analyze,
     canonical_shift,
     canonical_shift_lifts,
     canonical_witness,
-    christoffel_word,
     collapse_merge,
     conjugate,
     count_superimpositions,
@@ -23,7 +21,6 @@ from christoffel import (
     is_superimposable,
     make_word,
     merge_superimposition,
-    modular_complement,
     oracle_superimposable,
     perfectly_superimposable,
     reversal_superimposition_criterion,
@@ -31,11 +28,7 @@ from christoffel import (
     solve_bezout,
 )
 
-from conftest import cw, scan_positions
-
-
-def coprimes(n):
-    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
+from conftest import coprimes, cw, scan_positions
 
 
 def same_length_problems(max_n):
@@ -201,6 +194,9 @@ def test_reversal_criterion_examples():
     assert reversal_superimposition_criterion(6, 1, 2)
     with pytest.raises(ValueError):
         reversal_superimposition_criterion(5, 2, 2)
+    for args in ((7.0, 3, 2), (7, 3.0, 2), (7, 3, True), ("7", 3, 2)):
+        with pytest.raises(TypeError, match="n, alpha and beta must be ints"):
+            reversal_superimposition_criterion(*args)
 
 
 def test_reversal_criterion_matches_position_check():
@@ -235,35 +231,11 @@ def test_interval_offset_examples():
         interval_offset(4, sol, 1, 4, 3)
 
 
-def test_interval_offset_endpoint_identities():
-    for problem in same_length_problems(48):
-        sol = solve_bezout(problem)
-        n, q, a, b = problem.n, problem.q, problem.alpha, problem.beta
-        assert interval_offset(0, sol, q, a, b) == 0
-        last = interval_offset(a - 1, sol, q, a, b)
-        if sol.y == a:
-            assert last == n - sol.x - 2 * b * (q - 1) - b
-        else:
-            assert last == n - sol.x - 2 * b * (q - 1)
-
-
 def test_interval_offset_unit_alpha_hits_shifted_endpoint():
     problem = SuperimpositionProblem(13, 13, 1, 1, 3)
     sol = solve_bezout(problem)
     assert sol.y == 1 and sol.x == 10
     assert interval_offset(0, sol, 1, 1, 3) == 13 - sol.x - 3
-
-
-def test_interval_stepping_bounds():
-    for problem in same_length_problems(48):
-        sol = solve_bezout(problem)
-        q, a, b = problem.q, problem.alpha, problem.beta
-        for r in range(a - 1):
-            lo = sol.z * r // a
-            hi = sol.z * (r + 1) // a
-            assert hi - lo in (0, 1)
-            step = interval_offset(r + 1, sol, q, a, b) - interval_offset(r, sol, q, a, b)
-            assert step == sol.x + (2 * q - 1) * b - b * (hi - lo)
 
 
 def test_interval_family_cardinality():
@@ -275,76 +247,10 @@ def test_interval_family_cardinality():
             assert hi - lo + 1 == b * (2 * q - 1)
 
 
-def test_offset_congruence():
-    # Reindexing the offsets by r(i) with i = r*z (mod alpha) recovers the
-    # residues -i * complement(alpha) * beta modulo n.
-    for problem in same_length_problems(48):
-        sol = solve_bezout(problem)
-        n, q, a, b = problem.n, problem.q, problem.alpha, problem.beta
-        if a == 1:
-            assert interval_offset(0, sol, q, a, b) % n == 0
-            continue
-        abar = modular_complement(a, n)
-        zinv = pow(sol.z, -1, a)
-        for i in range(a):
-            r_i = (i * zinv) % a
-            offset = interval_offset(r_i, sol, q, a, b)
-            assert offset % n == (-i * abar * b) % n, (problem, i)
-
-
-def test_gap_count_matches_bezout_y():
-    for problem in same_length_problems(60):
-        sol = solve_bezout(problem)
-        a = problem.alpha
-        zero_steps = sum(
-            1 for r in range(a) if sol.z * (r + 1) // a - sol.z * r // a == 0
-        )
-        assert zero_steps == sol.y, problem
-
-
-def test_positions_decompose_into_translated_copies():
-    # The marked positions of C(n, q*alpha) are q translated copies of the
-    # positions of C(n, alpha), stepped by the complement of q*alpha.
-    for n in range(2, 121):
-        for total in coprimes(n):
-            if total == n:
-                continue
-            word_positions = scan_positions(cw(n, total), "a")
-            for q in range(1, total + 1):
-                if total % q != 0:
-                    continue
-                a = total // q
-                base = {(k * modular_complement(a, n)) % n for k in range(a)}
-                step = modular_complement(total, n)
-                union = {(pos + k * step) % n for k in range(q) for pos in base}
-                assert union == word_positions, (n, q, a)
-
-
 def test_superimposable_needs_room_at_gcd_length():
     for problem in same_length_problems(40):
         if is_superimposable(problem):
             assert problem.q * (problem.alpha + problem.beta) <= problem.p
-
-
-def test_decision_and_count_match_oracle_same_length():
-    for problem in same_length_problems(48):
-        u, v = problem.first_word(), problem.second_word()
-        result = oracle_superimposable(u, v)
-        assert is_superimposable(problem) == result.decision, problem
-        assert count_superimpositions(problem) == len(result.witnesses), problem
-
-
-def test_decision_and_count_match_oracle_unequal_lengths():
-    for n in range(1, 31):
-        for m in range(1, 31):
-            if n == m:
-                continue
-            for a in coprimes(n):
-                for b in coprimes(m):
-                    problem = SuperimpositionProblem.from_letter_counts(n, a, m, b)
-                    result = oracle_superimposable(problem.first_word(), problem.second_word())
-                    assert is_superimposable(problem) == result.decision, problem
-                    assert count_superimpositions(problem) == len(result.witnesses), problem
 
 
 def test_canonical_shift_and_lifts_validate():
