@@ -42,5 +42,5 @@ print(f"same slope, offset 1/2:    {beatty_slice(offset, 1, 8)}")
 print("\nslopes 13/4 and 13/3:", beatty_disjoint_exists(13, 4, 13, 3))
 print("slopes 3/1 and 4/1:  ", beatty_disjoint_exists(3, 1, 4, 1))
 
-found = oracle_beatty_disjoint(13, 4, 13, 3, grid_denominator=13)
+found = oracle_beatty_disjoint(13, 4, 13, 3)
 print(f"grid search agrees: {found.disjoint_possible}, witness offsets {found.offsets}")

@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .words import OrderedAlphabet, Word, _christoffel_symbols, _is_letter, _prechecked
+from .words import OrderedAlphabet, Word, _christoffel_symbols, _ints, _is_letter, _prechecked
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -32,6 +32,7 @@ def windowed_bezout(a: int, b: int, rhs: int) -> tuple[int, int]:
 
 def modular_complement(alpha: int, n: int) -> int:
     """The unique residue r in [0, n) with alpha*r = -1 (mod n)."""
+    _ints(("alpha", "n"), alpha, n)
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
     return (-modular_inverse(alpha, n)) % n
@@ -51,8 +52,7 @@ class ChristoffelSpec:
     high: str = "x"
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.alpha) is not int:
-            raise TypeError(f"n and alpha must be ints, got {self.n!r} and {self.alpha!r}")
+        _ints(("n", "alpha"), self.n, self.alpha)
         if self.n < 1:
             raise ValueError(f"length must be positive, got {self.n}")
         if not 1 <= self.alpha <= self.n:
@@ -80,10 +80,11 @@ class PositionSet:
     residues: tuple[int, ...]
 
     def __post_init__(self):
+        _ints(("modulus",), self.modulus)
         residues = tuple(self.residues)
-        kinds = {type(self.modulus), *map(type, residues)}
-        if bool in kinds or not all(issubclass(t, int) for t in kinds):
-            raise ValueError(f"modulus and residues must be ints, got {sorted(t.__name__ for t in kinds)}")
+        for r in residues:
+            if type(r) is not int:
+                raise TypeError(f"residues must be ints, got {r!r}")
         object.__setattr__(self, "residues", tuple(sorted(residues)))
         if self.modulus < 1:
             raise ValueError("modulus must be positive")

@@ -229,8 +229,6 @@ def _cmd_frobenius(args):
         payload["representable"] = ok
         lines.append(f"representable({args.amount}): {_yesno(ok)}")
     if args.oracle:
-        if args.a < 2 or args.b < 2:
-            raise CommandError("--oracle needs both denominations at least 2")
         largest, gaps = oracle_frobenius(coins)
         agree = largest == g and gaps == count
         status = _oracle_verdict(payload, lines, agree, f" ({largest}, {gaps})",
@@ -290,8 +288,7 @@ def _cmd_beatty(args):
     lines = [f"disjoint offsets exist: {_yesno(exists)}"]
     status = OK
     if args.oracle:
-        grid = args.grid if args.grid is not None else max(args.q1, args.q2)
-        result = oracle_beatty_disjoint(args.p1, args.q1, args.p2, args.q2, grid)
+        result = oracle_beatty_disjoint(args.p1, args.q1, args.p2, args.q2)
         offsets = None if result.offsets is None else [str(f) for f in result.offsets]
         witness = "" if offsets is None else f" (offsets {offsets[0]}, {offsets[1]})"
         status = _oracle_verdict(payload, lines, result.disjoint_possible == exists, witness,
@@ -407,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=int, default=None)
     p.add_argument("--q2", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help="cross-check by offset grid search")
-    p.add_argument("--grid", type=int, default=None, help="offset grid denominator (default max(q1,q2))")
 
     p = add("oracle-check", _cmd_oracle_check, help="sweep the fast paths against the oracle")
     p.add_argument("--max-n", type=int, default=30, help="same-length sweep bound (default 30)")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .christoffel import windowed_bezout
-from .words import OrderedAlphabet, Word, _prechecked, count_letter
+from .words import OrderedAlphabet, Word, _ints, _prechecked, count_letter
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
 # alphabet so every letter stays a single character.
@@ -21,8 +21,7 @@ def fraenkel_word(k: int) -> Word:
     Length 2**k - 1, with letter i occurring 2**(k-i) times.  k is capped at
     20 to keep the doubling recursion bounded.
     """
-    if type(k) is not int:
-        raise TypeError(f"index must be an int, got {k!r}")
+    _ints(("k",), k)
     if not 1 <= k <= MAX_FRAENKEL_INDEX:
         raise ValueError(f"index must lie in [1, {MAX_FRAENKEL_INDEX}], got {k}")
     word = _INDEX_LETTERS[0]
@@ -46,9 +45,9 @@ class BeattySpec:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if type(self.numerator) is not int or type(self.denominator) is not int:
-            raise TypeError(f"numerator and denominator must be ints, "
-                            f"got {self.numerator!r} and {self.denominator!r}")
+        _ints(("numerator", "denominator"), self.numerator, self.denominator)
+        if isinstance(self.offset, (float, bool)):
+            raise TypeError(f"offset must be exact; pass a Fraction or a string, got {self.offset!r}")
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
         object.__setattr__(self, "offset", Fraction(self.offset))
@@ -76,8 +75,7 @@ def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     exist exactly when x*u1 + y*u2 = p - 2*u1*u2*(q-1) has a positive
     solution.  u1 and u2 are always coprime.
     """
-    if type(p1) is not int or type(q1) is not int or type(p2) is not int or type(q2) is not int:
-        raise TypeError(f"slope parameters must be ints, got {p1!r}, {q1!r}, {p2!r} and {q2!r}")
+    _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
     if min(p1, q1, p2, q2) < 1:
         raise ValueError("slope parameters must be positive")
     g1, g2 = gcd(p1, q1), gcd(p2, q2)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .christoffel import ChristoffelSpec, cayley_graph, modular_inverse
-from .words import Word
+from .words import Word, _ints
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,7 @@ class CoinPair:
     b: int
 
     def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:
-            raise TypeError(f"denominations must be ints, got {self.a!r} and {self.b!r}")
+        _ints(("a", "b"), self.a, self.b)
         if self.a < 1 or self.b < 1:
             raise ValueError("denominations must be positive")
         if gcd(self.a, self.b) != 1:
@@ -28,10 +27,8 @@ class CoinPair:
 def frobenius_number(coins: CoinPair) -> int:
     """Largest amount not payable with the two coins: (a-1)(b-1) - 1.
 
-    With a unit coin every amount is payable; that degenerate case returns -1.
+    With a unit coin every amount is payable, and the formula gives -1.
     """
-    if coins.a == 1 or coins.b == 1:
-        return -1
     return (coins.a - 1) * (coins.b - 1) - 1
 
 
@@ -46,8 +43,7 @@ def representable(coins: CoinPair, amount: int) -> bool:
     The smallest x >= 0 with a*x = amount (mod b) is amount * a^-1 mod b; the
     amount is payable iff that x leaves a nonnegative remainder for y.
     """
-    if type(amount) is not int:
-        raise TypeError(f"amount must be an int, got {amount!r}")
+    _ints(("amount",), amount)
     if amount < 0:
         raise ValueError("amounts are nonnegative")
     x = amount * modular_inverse(coins.a, coins.b) % coins.b

@@ -15,7 +15,7 @@ from math import floor, lcm
 from .money import CoinPair
 from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, canonical_witness,
                           perfectly_superimposable)
-from .words import Word
+from .words import Word, _ints
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:
 
 
 def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
-    """Sieve the payable amounts up to a*b; report the largest gap and the gap count."""
-    if coins.a < 2 or coins.b < 2:
-        raise ValueError("both denominations must be at least 2")
+    """Sieve the payable amounts up to a*b; report the largest gap (-1 if none) and the gap count."""
     limit = coins.a * coins.b
     payable = [False] * (limit + 1)
     payable[0] = True
@@ -96,7 +94,7 @@ def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
             if payable[amount - coin]:
                 payable[amount] = True
     gaps = [amount for amount, ok in enumerate(payable) if not ok]
-    return max(gaps), len(gaps)
+    return max(gaps, default=-1), len(gaps)
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,21 @@ class BeattyOracleResult:
     offsets: tuple[Fraction, Fraction] | None
 
 
-def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int,
-                           grid_denominator: int) -> BeattyOracleResult:
+def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleResult:
     """Search rational offsets making the two Beatty sequences disjoint.
 
     The first offset ranges over [0, 1) and the second over [0, p2) in steps
-    of 1/grid_denominator; each candidate pair is tested exactly over one
+    of 1/d, d = max(q1, q2); each candidate pair is tested exactly over one
     common period.  Because the sequences only change when an offset crosses
-    a multiple of 1/q_i, any grid with grid_denominator >= max(q1, q2) is
-    exhaustive.  Shifting both offsets by the same integer and either offset
-    by its own period leaves disjointness unchanged, which justifies the
-    ranges.
+    a multiple of 1/q_i, that grid is exhaustive.  Shifting both offsets by
+    the same integer and either offset by its own period leaves disjointness
+    unchanged, which justifies the ranges.
     """
-    if min(p1, q1, p2, q2, grid_denominator) < 1:
+    _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
+    if min(p1, q1, p2, q2) < 1:
         raise ValueError("all parameters must be positive")
     period = lcm(p1, p2)
-    d = grid_denominator
+    d = max(q1, q2)
 
     def residues(p, q, offset):
         slope = Fraction(p, q)

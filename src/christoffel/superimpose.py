@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse, windowed_bezout
-from .words import OrderedAlphabet, Word, conjugate, reverse
+from .words import OrderedAlphabet, Word, _ints, conjugate, reverse
+
+
+_PROBLEM_FIELDS = ("n", "m", "q", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -32,28 +35,22 @@ class SuperimpositionProblem:
     beta: int
 
     def __post_init__(self):
-        for name in ("n", "m", "q", "alpha", "beta"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
-        if gcd(self.alpha, self.beta) != 1:
-            raise ValueError(f"alpha and beta must be coprime, got {self.alpha}, {self.beta}")
-        if self.q * self.alpha > self.n or gcd(self.q * self.alpha, self.n) != 1:
-            raise ValueError(
-                f"first marked count {self.q * self.alpha} must be <= and coprime to n={self.n}"
-            )
-        if self.q * self.beta > self.m or gcd(self.q * self.beta, self.m) != 1:
-            raise ValueError(
-                f"second marked count {self.q * self.beta} must be <= and coprime to m={self.m}"
-            )
+        n, m, q, alpha, beta = values = self.n, self.m, self.q, self.alpha, self.beta
+        _ints(_PROBLEM_FIELDS, *values)
+        if min(values) < 1:
+            name = next(name for name, value in zip(_PROBLEM_FIELDS, values) if value < 1)
+            raise ValueError(f"{name} must be positive")
+        if gcd(alpha, beta) != 1:
+            raise ValueError(f"alpha and beta must be coprime, got {alpha}, {beta}")
+        if q * alpha > n or gcd(q * alpha, n) != 1:
+            raise ValueError(f"first marked count {q * alpha} must be <= and coprime to n={n}")
+        if q * beta > m or gcd(q * beta, m) != 1:
+            raise ValueError(f"second marked count {q * beta} must be <= and coprime to m={m}")
 
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
         """Decompose raw marked-letter counts as q*alpha, q*beta with q = gcd."""
-        if type(a_count) is not int or type(b_count) is not int:
-            raise TypeError(f"marked-letter counts must be ints, got {a_count!r} and {b_count!r}")
+        _ints(("a_count", "b_count"), a_count, b_count)
         if a_count < 1 or b_count < 1:
             raise ValueError("marked-letter counts must be positive")
         q = gcd(a_count, b_count)
@@ -249,8 +246,7 @@ def reversal_superimposition_criterion(n: int, alpha: int, beta: int) -> bool:
     Equivalent to the existence of positive integers x, y with
     alpha*x + beta*y = n.  Requires alpha and beta coprime.
     """
-    if type(n) is not int or type(alpha) is not int or type(beta) is not int:
-        raise TypeError(f"n, alpha and beta must be ints, got {n!r}, {alpha!r} and {beta!r}")
+    _ints(("n", "alpha", "beta"), n, alpha, beta)
     if n < 1:
         raise ValueError("length must be positive")
     if not (1 <= alpha <= n and 1 <= beta <= n):

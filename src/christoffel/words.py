@@ -7,6 +7,17 @@ from enum import Enum
 from math import gcd
 
 
+def _ints(names, *values):
+    """Raise TypeError naming the first of `values` whose type is not exactly int, bool included.
+
+    Only a failure pairs `names` with `values`; a pass is one type test per value.
+    """
+    for value in values:
+        if type(value) is not int:
+            name = next(n for n, v in zip(names, values) if v is value)
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _is_letter(c) -> bool:
     """True iff `c` is a single printable character, the one test on every letter."""
     return isinstance(c, str) and len(c) == 1 and c.isprintable()
@@ -306,8 +317,7 @@ class DecimationSpec:
     letter: str = field(default="a")
 
     def __post_init__(self):
-        if type(self.p) is not int or type(self.q) is not int:
-            raise TypeError(f"p and q must be ints, got {self.p!r} and {self.q!r}")
+        _ints(("p", "q"), self.p, self.q)
         object.__setattr__(self, "direction", Direction(self.direction))
         if self.q < 1:
             raise ValueError("block size q must be positive")

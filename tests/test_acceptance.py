@@ -265,7 +265,7 @@ def test_criterion_7_reversal_criterion_matches_positions():
 def test_criterion_8_money_problem():
     start = time.perf_counter()
     checked = 0
-    for a in range(2, 41):
+    for a in range(1, 41):
         for b in range(a + 1, 41):
             if gcd(a, b) != 1:
                 continue

@@ -295,6 +295,8 @@ def test_frobenius(capsys):
     assert status == 0
     assert "representable(27): no" in out
     assert "oracle: agree" in out
+    status, out, _ = run_cli(capsys, "frobenius", "--a", "1", "--b", "5", "--oracle")
+    assert (status, out) == (0, "g(1,5) = -1; non-representable: 0\noracle: agree (-1, 0)\n")
 
 
 def test_boundary(capsys):

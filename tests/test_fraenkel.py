@@ -28,9 +28,6 @@ def test_fraenkel_word_guard():
         fraenkel_word(0)
     with pytest.raises(ValueError):
         fraenkel_word(21)
-    for k in (True, 3.0, "3"):
-        with pytest.raises(TypeError, match="index must be an int"):
-            fraenkel_word(k)
 
 
 def test_fraenkel_recursion_structure():
@@ -64,9 +61,10 @@ def test_beatty_slice_exact_rational_floors():
 def test_beatty_spec_validation():
     with pytest.raises(ValueError):
         BeattySpec(3, 0)
-    for numerator, denominator in ((True, 2), (1.5, 2), (3, 2.0), (3, True)):
-        with pytest.raises(TypeError, match="numerator and denominator must be ints"):
-            BeattySpec(numerator, denominator)
+    for offset in (0.3, True):  # a float would carry its binary error into the floors
+        with pytest.raises(TypeError, match="pass a Fraction or a string"):
+            BeattySpec(7, 10, offset)
+    assert [beatty_slice(BeattySpec(7, 10, o), 1, 1) for o in (Fraction(3, 10), "3/10")] == [[1], [1]]
 
 
 def test_beatty_disjoint_examples():
@@ -86,9 +84,6 @@ def test_beatty_disjoint_normalises_slopes():
 def test_beatty_disjoint_rejects_nonpositive():
     with pytest.raises(ValueError):
         beatty_disjoint_exists(0, 1, 3, 1)
-    for args in ((13, 4.0, 13, 3), (True, 4, 13, 3), (13, 4, 13, "3")):
-        with pytest.raises(TypeError, match="slope parameters must be ints"):
-            beatty_disjoint_exists(*args)
 
 
 def test_beatty_matches_superimposition_dictionary():
@@ -105,16 +100,16 @@ def test_beatty_matches_superimposition_dictionary():
 
 
 def test_beatty_oracle_examples():
-    result = oracle_beatty_disjoint(13, 4, 13, 3, 13)
+    result = oracle_beatty_disjoint(13, 4, 13, 3)
     assert result.disjoint_possible
     assert result.offsets is not None
-    assert not oracle_beatty_disjoint(3, 1, 4, 1, 12).disjoint_possible
+    assert not oracle_beatty_disjoint(3, 1, 4, 1).disjoint_possible
     for n in (3, 5, 8):
-        assert oracle_beatty_disjoint(n, 1, n, 1, n).disjoint_possible
+        assert oracle_beatty_disjoint(n, 1, n, 1).disjoint_possible
 
 
 def test_beatty_oracle_witness_is_disjoint():
-    result = oracle_beatty_disjoint(13, 4, 13, 3, 13)
+    result = oracle_beatty_disjoint(13, 4, 13, 3)
     off1, off2 = result.offsets
     s1 = {(Fraction(13, 4) * i + off1).__floor__() for i in range(-60, 60)}
     s2 = {(Fraction(13, 3) * i + off2).__floor__() for i in range(-60, 60)}
@@ -127,5 +122,5 @@ def test_beatty_oracle_agrees_with_criterion_small_grid():
             for q1 in (1, 2):
                 for q2 in (1, 2):
                     fast = beatty_disjoint_exists(p1, q1, p2, q2)
-                    slow = oracle_beatty_disjoint(p1, q1, p2, q2, max(q1, q2)).disjoint_possible
+                    slow = oracle_beatty_disjoint(p1, q1, p2, q2).disjoint_possible
                     assert fast == slow, (p1, q1, p2, q2)

@@ -21,9 +21,6 @@ def test_coin_pair_validation():
         CoinPair(4, 6)
     with pytest.raises(ValueError):
         CoinPair(0, 3)
-    for a, b in ((True, 3), (3, True), (2.0, 3), (2, 3.0), ("2", 3)):
-        with pytest.raises(TypeError, match="denominations must be ints"):
-            CoinPair(a, b)
 
 
 def test_frobenius_examples():
@@ -46,9 +43,6 @@ def test_representable_examples():
     assert representable(CoinPair(2, 5), 0)
     assert not representable(CoinPair(8, 5), 27)
     assert representable(CoinPair(8, 5), 28)
-    for amount in (2.5, True, "3"):
-        with pytest.raises(TypeError, match="amount must be an int"):
-            representable(CoinPair(3, 5), amount)
 
 
 def test_representable_matches_scan():

@@ -197,9 +197,8 @@ def test_oracle_frobenius_examples():
     assert oracle_frobenius(CoinPair(2, 3)) == (1, 1)
 
 
-def test_oracle_frobenius_rejects_unit_coin():
-    with pytest.raises(ValueError):
-        oracle_frobenius(CoinPair(1, 5))
+def test_oracle_frobenius_covers_unit_coins():
+    assert oracle_frobenius(CoinPair(1, 5)) == oracle_frobenius(CoinPair(5, 1)) == (-1, 0)
 
 
 def test_crosscheck_catches_a_bad_witness(monkeypatch):

@@ -46,15 +46,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         SuperimpositionProblem.from_letter_counts(8, 1, 8, 2)  # second word is a power
     SuperimpositionProblem(13, 13, 2, 4, 3)  # valid: 8 and 6 both coprime to 13
-    valid = (13, 13, 2, 4, 3)
-    for i, name in enumerate(("n", "m", "q", "alpha", "beta")):
-        for bad in (True, float(valid[i]), str(valid[i])):
-            fields = valid[:i] + (bad,) + valid[i + 1:]
-            with pytest.raises(TypeError, match=f"^{name} must be an int"):
-                SuperimpositionProblem(*fields)
-    for counts in ((True, 1), (1, True), (2.0, 1), (1, 2.0)):
-        with pytest.raises(TypeError, match="marked-letter counts must be ints"):
-            SuperimpositionProblem.from_letter_counts(5, counts[0], 7, counts[1])
 
 
 def test_solve_bezout_examples():
@@ -194,9 +185,6 @@ def test_reversal_criterion_examples():
     assert reversal_superimposition_criterion(6, 1, 2)
     with pytest.raises(ValueError):
         reversal_superimposition_criterion(5, 2, 2)
-    for args in ((7.0, 3, 2), (7, 3.0, 2), (7, 3, True), ("7", 3, 2)):
-        with pytest.raises(TypeError, match="n, alpha and beta must be ints"):
-            reversal_superimposition_criterion(*args)
 
 
 def test_reversal_criterion_matches_position_check():

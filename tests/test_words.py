@@ -405,9 +405,34 @@ def test_decimation_spec_validation():
     for direction in ("sideways", "LEFT_TO_RIGHT", None, 0):
         with pytest.raises(ValueError):
             DecimationSpec(1, 2, direction, "a")
-    for p, q in ((1, 2.0), (1.0, 2), (True, 2), (1, True), ("1", 2)):
-        with pytest.raises(TypeError):
-            DecimationSpec(p, q, Direction.LEFT_TO_RIGHT, "a")
+
+
+# Every public entry point that takes integer data: (call, valid arguments, their names).
+INT_ENTRY_POINTS = [
+    (ChristoffelSpec, (8, 5), ("n", "alpha")),
+    (lambda p, q: DecimationSpec(p, q, Direction.LEFT_TO_RIGHT), (1, 2), ("p", "q")),
+    (christoffel.SuperimpositionProblem, (13, 13, 2, 4, 3), ("n", "m", "q", "alpha", "beta")),
+    (christoffel.SuperimpositionProblem.from_letter_counts, (13, 8, 13, 6), ("n", "a_count", "m", "b_count")),
+    (christoffel.reversal_superimposition_criterion, (13, 4, 3), ("n", "alpha", "beta")),
+    (christoffel.CoinPair, (8, 5), ("a", "b")),
+    (lambda amount: christoffel.representable(christoffel.CoinPair(8, 5), amount), (27,), ("amount",)),
+    (fraenkel_word, (3,), ("k",)),
+    (christoffel.BeattySpec, (13, 4), ("numerator", "denominator")),
+    (christoffel.beatty_disjoint_exists, (13, 4, 13, 3), ("p1", "q1", "p2", "q2")),
+    (lambda modulus: christoffel.PositionSet(modulus, (0, 3)), (5,), ("modulus",)),
+    (christoffel.modular_complement, (4, 13), ("alpha", "n")),
+    (christoffel.oracle_beatty_disjoint, (13, 4, 13, 3), ("p1", "q1", "p2", "q2")),
+]
+
+
+def test_int_arguments_refuse_bools_floats_and_strs():
+    for call, valid, names in INT_ENTRY_POINTS:
+        call(*valid)
+        for i, name in enumerate(names):
+            for bad in (True, float(valid[i]), str(valid[i])):
+                with pytest.raises(TypeError) as raised:
+                    call(*valid[:i], bad, *valid[i + 1:])
+                assert str(raised.value) == f"{name} must be an int, got {bad!r}", (names, i, bad)
 
 
 def test_decimation_spec_takes_direction_values():
