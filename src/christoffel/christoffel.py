@@ -23,8 +23,8 @@ def modular_inverse(a: int, n: int) -> int:
 def windowed_bezout(a: int, b: int, rhs: int) -> tuple[int, int]:
     """The unique solution (x, y) of a*x + b*y = rhs with 1 <= y <= a, for coprime a, b.
 
-    This is the one equation behind the superimposition decision, the mirror
-    criterion and the Beatty criterion: each asks whether x >= 1.
+    `superimpose._bezout` is its one caller: it holds the decision equation
+    behind superimposition, the mirror criterion and the Beatty criterion.
     """
     y = (rhs * modular_inverse(b, a)) % a or a
     return (rhs - y * b) // a, y
@@ -224,6 +224,7 @@ def christoffel_path(a: int, b: int) -> LatticePath:
     b*x - a*y stays in [0, a+b) at every vertex, so the path is weakly below
     the segment and encloses no interior lattice point.
     """
+    _ints(("a", "b"), a, b)
     if a < 1 or b < 1:
         raise ValueError(f"endpoint coordinates must be positive, got ({a}, {b})")
     if gcd(a, b) != 1:

@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=int, default=None)
     p.add_argument("--p2", type=int, default=None)
     p.add_argument("--q2", type=int, default=None)
-    p.add_argument("--oracle", action="store_true", help="cross-check by offset grid search")
+    p.add_argument("--oracle", action="store_true", help="cross-check by exhaustive shift search")
 
     p = add("oracle-check", _cmd_oracle_check, help="sweep the fast paths against the oracle")
     p.add_argument("--max-n", type=int, default=30, help="same-length sweep bound (default 30)")

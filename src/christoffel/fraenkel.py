@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .christoffel import windowed_bezout
+from .superimpose import _bezout
 from .words import OrderedAlphabet, Word, _ints, _prechecked, count_letter
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
@@ -59,6 +59,7 @@ class BeattySpec:
 
 def beatty_slice(spec: BeattySpec, lo: int, hi: int) -> list[int]:
     """The terms floor(slope*i + offset) for i = lo..hi, in exact arithmetic."""
+    _ints(("lo", "hi"), lo, hi)
     if lo > hi:
         raise ValueError(f"empty index range: {lo} > {hi}")
     slope = spec.slope
@@ -68,19 +69,14 @@ def beatty_slice(spec: BeattySpec, lo: int, hi: int) -> list[int]:
 def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     """Whether offsets exist making the Beatty sequences of slopes p1/q1, p2/q2 disjoint.
 
-    Each slope is first reduced to lowest terms; the sequence floor(p*i/q + b)
-    only depends on the reduced fraction, and the criterion below is false
-    without that normalisation.  With p = gcd(p1, p2), q = gcd(q1, q2),
-    u1 = q1/q and u2 = q2/q taken from the reduced slopes, disjoint offsets
-    exist exactly when x*u1 + y*u2 = p - 2*u1*u2*(q-1) has a positive
-    solution.  u1 and u2 are always coprime.
+    floor(p*i/q + b) depends only on the reduced slope, so both are reduced first.
+    One period of it marks a conjugate of C(p, q): the answer is the superimposition
+    decision at lengths p1, p2 and marked counts q1, q2 (False for slopes <= 1).
     """
     _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
     if min(p1, q1, p2, q2) < 1:
         raise ValueError("slope parameters must be positive")
     g1, g2 = gcd(p1, q1), gcd(p2, q2)
     p1, q1, p2, q2 = p1 // g1, q1 // g1, p2 // g2, q2 // g2
-    p = gcd(p1, p2)
     q = gcd(q1, q2)
-    u1, u2 = q1 // q, q2 // q
-    return windowed_bezout(u1, u2, p - 2 * u1 * u2 * (q - 1))[0] >= 1
+    return _bezout(gcd(p1, p2), q, q1 // q, q2 // q)[0] >= 1

@@ -15,7 +15,7 @@ from math import floor, lcm
 from .money import CoinPair
 from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, canonical_witness,
                           perfectly_superimposable)
-from .words import Word, _ints
+from .words import OrderedAlphabet, Word, _ints
 
 
 @dataclass(frozen=True)
@@ -99,36 +99,39 @@ def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class BeattyOracleResult:
-    """Outcome of the offset grid search, with one witness pair when found."""
+    """Outcome of the shift search, with the first witness offset pair in grid order when found."""
 
     disjoint_possible: bool
     offsets: tuple[Fraction, Fraction] | None
 
 
 def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleResult:
-    """Search rational offsets making the two Beatty sequences disjoint.
+    """Search every relative shift of the two Beatty sequences for a disjoint pair.
 
-    The first offset ranges over [0, 1) and the second over [0, p2) in steps
-    of 1/d, d = max(q1, q2); each candidate pair is tested exactly over one
-    common period.  Because the sequences only change when an offset crosses
-    a multiple of 1/q_i, that grid is exhaustive.  Shifting both offsets by
-    the same integer and either offset by its own period leaves disjointness
-    unchanged, which justifies the ranges.
+    With offset b the terms floor(p*i/q + b) repeat with period p; their residues
+    at i < q spell a mark/x word of length p, a translate of the offset-0 word that
+    `str.find` locates in two copies of it.  `oracle_superimposable` tries every shift
+    of the longer offset-0 word against the other.  The witness is the first disjoint
+    pair in steps of 1/max(q1, q2) over [0, 1) x [0, p2), first offset outer.  Integer
+    second offsets give every translate of the second sequence, of period p2, so the
+    first offset is 0 and the second is the first whose translate (negated if the
+    first word is longer) is admissible.
     """
     _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
     if min(p1, q1, p2, q2) < 1:
         raise ValueError("all parameters must be positive")
-    period = lcm(p1, p2)
     d = max(q1, q2)
 
-    def residues(p, q, offset):
-        slope = Fraction(p, q)
-        return frozenset(floor(slope * i + offset) % period for i in range(q * (period // p)))
+    def layout(p, q, offset):
+        marks = {floor(Fraction(p, q) * i + offset) % p for i in range(q)}
+        return "".join("a" if j in marks else "x" for j in range(p))
 
-    first = [(Fraction(t, d), residues(p1, q1, Fraction(t, d))) for t in range(d)]
-    second = [(Fraction(t, d), residues(p2, q2, Fraction(t, d))) for t in range(d * p2)]
-    for off1, res1 in first:
-        for off2, res2 in second:
-            if not (res1 & res2):
-                return BeattyOracleResult(True, (off1, off2))
-    return BeattyOracleResult(False, None)
+    v = layout(p2, q2, 0)
+    result = oracle_superimposable(Word(layout(p1, q1, 0), OrderedAlphabet("ax")),
+                                   Word(v.replace("a", "b"), OrderedAlphabet("bx")))
+    if not result.decision:
+        return BeattyOracleResult(False, None)
+    shifts, sign, doubled = set(result.witnesses), 1 if p1 <= p2 else -1, v * 2
+    t = next(t for t in range(d * p2)
+             if sign * doubled.find(layout(p2, q2, Fraction(t, d))) % result.modulus in shifts)
+    return BeattyOracleResult(True, (Fraction(0), Fraction(t, d)))

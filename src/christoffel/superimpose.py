@@ -69,23 +69,22 @@ class SuperimpositionProblem:
 
 @dataclass(frozen=True)
 class BezoutSolution:
-    """The solution of x*alpha + y*beta = p - 2*alpha*beta*(q-1) with 1 <= y <= alpha."""
+    """(x, y) of the decision equation with 1 <= y <= alpha, and z = alpha - y for the count."""
 
     x: int
     y: int
     z: int
 
 
-def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
-    """Solve x*alpha + y*beta = p - 2*alpha*beta*(q-1), windowing y into [1, alpha].
+def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
+    """Solve x*alpha + y*beta = p - 2*alpha*beta*(q-1), 1 <= y <= alpha; each criterion asks for x >= 1."""
+    return windowed_bezout(alpha, beta, p - 2 * alpha * beta * (q - 1))
 
-    The window makes the solution unique; superimposability is then just the
-    sign of x.  z = alpha - y is coprime to alpha and drives the interval
-    bookkeeping of the count.
-    """
-    a, b = problem.alpha, problem.beta
-    x, y = windowed_bezout(a, b, problem.p - 2 * a * b * (problem.q - 1))
-    return BezoutSolution(x, y, a - y)
+
+def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
+    """The unique windowed solution of the problem's decision equation; superimposable iff x >= 1."""
+    x, y = _bezout(problem.p, problem.q, problem.alpha, problem.beta)
+    return BezoutSolution(x, y, problem.alpha - y)
 
 
 def is_superimposable(problem: SuperimpositionProblem) -> bool:
@@ -253,7 +252,7 @@ def reversal_superimposition_criterion(n: int, alpha: int, beta: int) -> bool:
         raise ValueError("marked counts must lie in [1, n]")
     if gcd(alpha, beta) != 1:
         raise ValueError(f"alpha and beta must be coprime, got {alpha}, {beta}")
-    return windowed_bezout(alpha, beta, n)[0] >= 1
+    return _bezout(n, 1, alpha, beta)[0] >= 1
 
 
 def canonical_witness(problem: SuperimpositionProblem, mark_u: str = "a", mark_v: str = "b",

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import floor, gcd, lcm
 
 import pytest
 
@@ -116,11 +117,35 @@ def test_beatty_oracle_witness_is_disjoint():
     assert not (s1 & s2)
 
 
+def _residues(p, q, offset, period):
+    """floor(p*i/q + offset) mod period over one common period, in Fraction arithmetic."""
+    return frozenset(floor(Fraction(p, q) * i + offset) % period for i in range(q * (period // p)))
+
+
 def test_beatty_oracle_agrees_with_criterion_small_grid():
-    for p1 in range(1, 7):
-        for p2 in range(1, 7):
-            for q1 in (1, 2):
-                for q2 in (1, 2):
-                    fast = beatty_disjoint_exists(p1, q1, p2, q2)
-                    slow = oracle_beatty_disjoint(p1, q1, p2, q2).disjoint_possible
-                    assert fast == slow, (p1, q1, p2, q2)
+    # Every slope pair in [1, 12]^4, unreduced slopes and slopes <= 1 included.
+    for p1, q1, p2, q2 in product(range(1, 13), repeat=4):
+        result = oracle_beatty_disjoint(p1, q1, p2, q2)
+        assert result.disjoint_possible == beatty_disjoint_exists(p1, q1, p2, q2), (p1, q1, p2, q2)
+        if result.disjoint_possible:
+            period = lcm(p1, p2)
+            off1, off2 = result.offsets
+            assert not _residues(p1, q1, off1, period) & _residues(p2, q2, off2, period), (p1, q1, p2, q2)
+
+
+def _grid_search(p1, q1, p2, q2):
+    """Literal reference: the first disjoint pair on the offset grid of step 1/max(q1, q2)."""
+    period, d = lcm(p1, p2), max(q1, q2)
+    second = [(Fraction(t, d), _residues(p2, q2, Fraction(t, d), period)) for t in range(d * p2)]
+    for t in range(d):
+        res1 = _residues(p1, q1, Fraction(t, d), period)
+        for off2, res2 in second:
+            if not res1 & res2:
+                return True, (Fraction(t, d), off2)
+    return False, None
+
+
+def test_beatty_oracle_returns_the_first_grid_witness():
+    for p1, q1, p2, q2 in product(range(1, 9), range(1, 5), range(1, 9), range(1, 5)):
+        result = oracle_beatty_disjoint(p1, q1, p2, q2)
+        assert (result.disjoint_possible, result.offsets) == _grid_search(p1, q1, p2, q2), (p1, q1, p2, q2)

@@ -422,6 +422,8 @@ INT_ENTRY_POINTS = [
     (lambda modulus: christoffel.PositionSet(modulus, (0, 3)), (5,), ("modulus",)),
     (christoffel.modular_complement, (4, 13), ("alpha", "n")),
     (christoffel.oracle_beatty_disjoint, (13, 4, 13, 3), ("p1", "q1", "p2", "q2")),
+    (lambda lo, hi: christoffel.beatty_slice(christoffel.BeattySpec(3, 2), lo, hi), (1, 4), ("lo", "hi")),
+    (christoffel.christoffel_path, (2, 3), ("a", "b")),
 ]
 
 
