@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .words import OrderedAlphabet, Word, _christoffel_symbols, _ints, _is_letter, _prechecked
+from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _is_letter, _prechecked
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -38,30 +37,27 @@ def modular_complement(alpha: int, n: int) -> int:
     return (-modular_inverse(alpha, n)) % n
 
 
-@dataclass(frozen=True)
-class ChristoffelSpec:
+class ChristoffelSpec(_Value):
     """Identifies C(n, alpha): length n with alpha occurrences of the low letter.
 
     When gcd(n, alpha) = r > 1 this is the r-th power of the primitive word
     C(n/r, alpha/r).  alpha = n is admitted as the degenerate word low**n.
     """
 
-    n: int
-    alpha: int
-    low: str = "a"
-    high: str = "x"
+    _fields = ("n", "alpha", "low", "high")
 
-    def __post_init__(self):
-        _ints(("n", "alpha"), self.n, self.alpha)
-        if self.n < 1:
-            raise ValueError(f"length must be positive, got {self.n}")
-        if not 1 <= self.alpha <= self.n:
-            raise ValueError(f"need 1 <= alpha <= n, got alpha={self.alpha}, n={self.n}")
-        if self.low == self.high:
+    def __init__(self, n: int, alpha: int, low: str = "a", high: str = "x"):
+        _ints(("n", "alpha"), n, alpha)
+        if n < 1:
+            raise ValueError(f"length must be positive, got {n}")
+        if not 1 <= alpha <= n:
+            raise ValueError(f"need 1 <= alpha <= n, got alpha={alpha}, n={n}")
+        if low == high:
             raise ValueError("low and high letters must differ")
-        for c in (self.low, self.high):
+        for c in (low, high):
             if not _is_letter(c):
                 raise ValueError(f"letter {c!r} is not a single printable character")
+        self.__dict__.update(n=n, alpha=alpha, low=low, high=high)
 
     @property
     def beta(self) -> int:
@@ -72,26 +68,25 @@ class ChristoffelSpec:
         return OrderedAlphabet((self.low, self.high))
 
 
-@dataclass(frozen=True)
-class PositionSet:
+class PositionSet(_Value):
     """A set of residues modulo `modulus`, kept sorted."""
 
-    modulus: int
-    residues: tuple[int, ...]
+    _fields = ("modulus", "residues")
 
-    def __post_init__(self):
-        _ints(("modulus",), self.modulus)
-        residues = tuple(self.residues)
+    def __init__(self, modulus: int, residues: tuple[int, ...]):
+        _ints(("modulus",), modulus)
+        residues = tuple(residues)
         for r in residues:
             if type(r) is not int:
                 raise TypeError(f"residues must be ints, got {r!r}")
-        object.__setattr__(self, "residues", tuple(sorted(residues)))
-        if self.modulus < 1:
+        residues = tuple(sorted(residues))
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if len(set(self.residues)) != len(self.residues):
+        if len(set(residues)) != len(residues):
             raise ValueError("residues must be distinct")
-        if self.residues and not 0 <= self.residues[0] <= self.residues[-1] < self.modulus:
-            raise ValueError(f"residues must lie in [0, {self.modulus})")
+        if residues and not 0 <= residues[0] <= residues[-1] < modulus:
+            raise ValueError(f"residues must lie in [0, {modulus})")
+        self.__dict__.update(modulus=modulus, residues=residues)
 
     def __contains__(self, r):
         r %= self.modulus
@@ -165,12 +160,13 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
     return _prechecked(PositionSet, modulus=n, residues=residues)
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class CayleyGraph(_Value):
     """The labelled cycle on residues mod n stepping by beta, walked from 0."""
 
-    n: int
-    edges: tuple[tuple[int, int, str], ...]
+    _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int, str], ...]):
+        self.__dict__.update(n=n, edges=edges)
 
     @property
     def traversal(self) -> tuple[int, ...]:
@@ -202,12 +198,13 @@ class Step(Enum):
     UP = "U"
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Value):
     """A monotone lattice path of unit Right/Up steps from the origin."""
 
-    steps: tuple[Step, ...]
-    endpoint: tuple[int, int]
+    _fields = ("steps", "endpoint")
+
+    def __init__(self, steps: tuple[Step, ...], endpoint: tuple[int, int]):
+        self.__dict__.update(steps=steps, endpoint=endpoint)
 
     def encode(self, low: str = "a", high: str = "x") -> Word:
         """Spell the path, Right as the low letter and Up as the high one."""

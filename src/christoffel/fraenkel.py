@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
 from .superimpose import _bezout
-from .words import OrderedAlphabet, Word, _ints, _prechecked, count_letter
+from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, count_letter
 
 # Letter for recursion index i; indices past 9 continue through the uppercase
 # alphabet so every letter stays a single character.
@@ -36,21 +35,18 @@ def letter_frequencies(w: Word) -> dict[str, int]:
     return {c: count_letter(w, c) for c in w.alphabet.letters}
 
 
-@dataclass(frozen=True)
-class BeattySpec:
+class BeattySpec(_Value):
     """A rational Beatty sequence floor(slope*i + offset), slope = numerator/denominator."""
 
-    numerator: int
-    denominator: int
-    offset: Fraction = Fraction(0)
+    _fields = ("numerator", "denominator", "offset")
 
-    def __post_init__(self):
-        _ints(("numerator", "denominator"), self.numerator, self.denominator)
-        if isinstance(self.offset, (float, bool)):
-            raise TypeError(f"offset must be exact; pass a Fraction or a string, got {self.offset!r}")
-        if self.denominator < 1:
+    def __init__(self, numerator: int, denominator: int, offset: Fraction = Fraction(0)):
+        _ints(("numerator", "denominator"), numerator, denominator)
+        if isinstance(offset, (float, bool)):
+            raise TypeError(f"offset must be exact; pass a Fraction or a string, got {offset!r}")
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        self.__dict__.update(numerator=numerator, denominator=denominator, offset=Fraction(offset))
 
     @property
     def slope(self) -> Fraction:

@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .christoffel import ChristoffelSpec, cayley_graph, modular_inverse
-from .words import Word, _ints
+from .words import Word, _Value, _ints
 
 
-@dataclass(frozen=True)
-class CoinPair:
+class CoinPair(_Value):
     """Two coprime coin denominations."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        _ints(("a", "b"), self.a, self.b)
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int):
+        _ints(("a", "b"), a, b)
+        if a < 1 or b < 1:
             raise ValueError("denominations must be positive")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"denominations must be coprime, got {self.a}, {self.b}")
+        if gcd(a, b) != 1:
+            raise ValueError(f"denominations must be coprime, got {a}, {b}")
+        self.__dict__.update(a=a, b=b)
 
 
 def frobenius_number(coins: CoinPair) -> int:
@@ -50,8 +48,7 @@ def representable(coins: CoinPair, amount: int) -> bool:
     return coins.a * x <= amount
 
 
-@dataclass(frozen=True)
-class QuadrantBoundary:
+class QuadrantBoundary(_Value):
     """Staircase boundary of the quadrant cells whose value x*b + y*a stays below a*b.
 
     `word` codes the walk (right moves then up moves as its two letters),
@@ -59,9 +56,10 @@ class QuadrantBoundary:
     `cells` maps each retained coordinate (x, -y) to its value.
     """
 
-    word: Word
-    values: tuple[int, ...]
-    cells: dict[tuple[int, int], int]
+    _fields = ("word", "values", "cells")
+
+    def __init__(self, word: Word, values: tuple[int, ...], cells: dict[tuple[int, int], int]):
+        self.__dict__.update(word=word, values=values, cells=cells)
 
 
 def boundary_word(coins: CoinPair, low: str = "α", high: str = "β") -> QuadrantBoundary:

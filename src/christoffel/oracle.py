@@ -8,23 +8,22 @@ compared against its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 
 from .money import CoinPair
 from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, canonical_witness,
                           perfectly_superimposable)
-from .words import OrderedAlphabet, Word, _ints
+from .words import OrderedAlphabet, Word, _Value, _ints
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Value):
     """All shifts of the second (longer) word that separate the marked positions."""
 
-    decision: bool
-    witnesses: tuple[int, ...]
-    modulus: int
+    _fields = ("decision", "witnesses", "modulus")
+
+    def __init__(self, decision: bool, witnesses: tuple[int, ...], modulus: int):
+        self.__dict__.update(decision=decision, witnesses=witnesses, modulus=modulus)
 
 
 def _mark_mask(w: Word, mark: str, filler: str) -> int:
@@ -97,12 +96,13 @@ def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
     return max(gaps, default=-1), len(gaps)
 
 
-@dataclass(frozen=True)
-class BeattyOracleResult:
+class BeattyOracleResult(_Value):
     """Outcome of the shift search, with the first witness offset pair in grid order when found."""
 
-    disjoint_possible: bool
-    offsets: tuple[Fraction, Fraction] | None
+    _fields = ("disjoint_possible", "offsets")
+
+    def __init__(self, disjoint_possible: bool, offsets: tuple[Fraction, Fraction] | None):
+        self.__dict__.update(disjoint_possible=disjoint_possible, offsets=offsets)
 
 
 def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleResult:

@@ -9,18 +9,13 @@ everything by exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse, windowed_bezout
-from .words import OrderedAlphabet, Word, _ints, conjugate, reverse
+from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
 
-_PROBLEM_FIELDS = ("n", "m", "q", "alpha", "beta")
-
-
-@dataclass(frozen=True)
-class SuperimpositionProblem:
+class SuperimpositionProblem(_Value):
     """The pair C(n, q*alpha) over (a < x) and C(m, q*beta) over (b < x).
 
     alpha and beta are the reduced marked-letter counts, q their common
@@ -28,17 +23,13 @@ class SuperimpositionProblem:
     operand is a primitive Christoffel word.
     """
 
-    n: int
-    m: int
-    q: int
-    alpha: int
-    beta: int
+    _fields = ("n", "m", "q", "alpha", "beta")
 
-    def __post_init__(self):
-        n, m, q, alpha, beta = values = self.n, self.m, self.q, self.alpha, self.beta
-        _ints(_PROBLEM_FIELDS, *values)
-        if min(values) < 1:
-            name = next(name for name, value in zip(_PROBLEM_FIELDS, values) if value < 1)
+    def __init__(self, n: int, m: int, q: int, alpha: int, beta: int):
+        _ints(self._fields, n, m, q, alpha, beta)
+        if min(n, m, q, alpha, beta) < 1:
+            name = next(name for name, value in zip(self._fields, (n, m, q, alpha, beta))
+                        if value < 1)
             raise ValueError(f"{name} must be positive")
         if gcd(alpha, beta) != 1:
             raise ValueError(f"alpha and beta must be coprime, got {alpha}, {beta}")
@@ -46,6 +37,7 @@ class SuperimpositionProblem:
             raise ValueError(f"first marked count {q * alpha} must be <= and coprime to n={n}")
         if q * beta > m or gcd(q * beta, m) != 1:
             raise ValueError(f"second marked count {q * beta} must be <= and coprime to m={m}")
+        self.__dict__.update(n=n, m=m, q=q, alpha=alpha, beta=beta)
 
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
@@ -67,13 +59,13 @@ class SuperimpositionProblem:
         return christoffel_word(ChristoffelSpec(self.m, self.q * self.beta, mark, filler))
 
 
-@dataclass(frozen=True)
-class BezoutSolution:
+class BezoutSolution(_Value):
     """(x, y) of the decision equation with 1 <= y <= alpha, and z = alpha - y for the count."""
 
-    x: int
-    y: int
-    z: int
+    _fields = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        self.__dict__.update(x=x, y=y, z=z)
 
 
 def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
@@ -140,16 +132,17 @@ def interval_offset(r: int, sol: BezoutSolution, q: int, alpha: int, beta: int) 
     return r * (sol.x + (2 * q - 1) * beta) - (sol.z * r // alpha) * beta
 
 
-@dataclass(frozen=True)
-class IntervalFamily:
+class IntervalFamily(_Value):
     """Diagnostic view of the count: per-index offsets and the shifted intervals.
 
     Interval r is [-(q-1)*beta, q*beta - 1] translated left by offsets[r];
     shifts avoiding every interval modulo n are exactly the admissible ones.
     """
 
-    offsets: tuple[int, ...]
-    intervals: tuple[tuple[int, int], ...]
+    _fields = ("offsets", "intervals")
+
+    def __init__(self, offsets: tuple[int, ...], intervals: tuple[tuple[int, int], ...]):
+        self.__dict__.update(offsets=offsets, intervals=intervals)
 
 
 def interval_family(problem: SuperimpositionProblem) -> IntervalFamily:
@@ -161,14 +154,15 @@ def interval_family(problem: SuperimpositionProblem) -> IntervalFamily:
     return IntervalFamily(offsets, intervals)
 
 
-@dataclass(frozen=True)
-class SuperimpositionReport:
+class SuperimpositionReport(_Value):
     """Decision, Bezout pair, shift count, and canonical witness for one problem."""
 
-    superimposable: bool
-    bezout: BezoutSolution
-    count: int
-    canonical_shift: int | None
+    _fields = ("superimposable", "bezout", "count", "canonical_shift")
+
+    def __init__(self, superimposable: bool, bezout: BezoutSolution, count: int,
+                 canonical_shift: int | None):
+        self.__dict__.update(superimposable=superimposable, bezout=bezout, count=count,
+                             canonical_shift=canonical_shift)
 
 
 def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:

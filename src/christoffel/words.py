@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 
@@ -23,21 +22,53 @@ def _is_letter(c) -> bool:
     return isinstance(c, str) and len(c) == 1 and c.isprintable()
 
 
-@dataclass(frozen=True)
-class OrderedAlphabet:
+class _Value:
+    """An immutable value: equality, hash and repr follow the fields named in `_fields`.
+
+    Each subclass writes its own __init__, which checks its arguments and then
+    fills __dict__ with one update.  Instances compare equal only to instances
+    of the same class with equal fields, and the repr is `Name(field=value, ...)`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={self.__dict__[f]!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class OrderedAlphabet(_Value):
     """A totally ordered alphabet of distinct single-character letters."""
 
-    letters: tuple[str, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]):
+        letters = tuple(letters)
+        if not letters:
             raise ValueError("alphabet must contain at least one letter")
-        for c in self.letters:
+        for c in letters:
             if not _is_letter(c):
                 raise ValueError(f"letter {c!r} is not a single printable character")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"alphabet letters must be distinct: {self.letters}")
+        if len(set(letters)) != len(letters):
+            raise ValueError(f"alphabet letters must be distinct: {letters}")
+        self.__dict__.update(letters=letters)
 
     def __contains__(self, letter):
         return letter in self.letters
@@ -65,27 +96,26 @@ def alphabet(letters) -> OrderedAlphabet:
     return OrderedAlphabet(tuple(letters))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A finite word: a string of symbols together with its ordered alphabet."""
 
-    symbols: str
-    alphabet: OrderedAlphabet
+    _fields = ("symbols", "alphabet")
 
-    def __post_init__(self):
-        symbols = self.symbols
+    def __init__(self, symbols: str, alphabet: OrderedAlphabet):
+        if not isinstance(alphabet, OrderedAlphabet):
+            raise TypeError(f"alphabet must be an OrderedAlphabet, got {alphabet!r}")
         # The letters are distinct single characters, so in a str their
         # counts add up to the length exactly when no other symbol occurs.
-        if isinstance(symbols, str) and sum(map(symbols.count, self.alphabet.letters)) == len(symbols):
-            return
-        # Other input is walked too, so its first foreign symbol is named.
-        for i, c in enumerate(symbols):
-            if c not in self.alphabet:
-                raise ValueError(
-                    f"symbol {c!r} at index {i} is not in alphabet {self.alphabet.letters}"
-                )
-        if not isinstance(symbols, str):
-            raise ValueError(f"symbols must be a str, not {type(symbols).__name__}")
+        if not isinstance(symbols, str) or sum(map(symbols.count, alphabet.letters)) != len(symbols):
+            # Other input is walked too, so its first foreign symbol is named.
+            for i, c in enumerate(symbols):
+                if c not in alphabet:
+                    raise ValueError(
+                        f"symbol {c!r} at index {i} is not in alphabet {alphabet.letters}"
+                    )
+            if not isinstance(symbols, str):
+                raise ValueError(f"symbols must be a str, not {type(symbols).__name__}")
+        self.__dict__.update(symbols=symbols, alphabet=alphabet)
 
     def __len__(self):
         return len(self.symbols)
@@ -302,27 +332,26 @@ class Direction(Enum):
     RIGHT_TO_LEFT = "right-to-left"
 
 
-@dataclass(frozen=True)
-class DecimationSpec:
+class DecimationSpec(_Value):
     """Remove p occurrences out of every q of `letter`, scanning in `direction`.
 
     `direction` is a `Direction` or its value, "left-to-right" or
     "right-to-left", and is stored as the `Direction`; anything else raises
-    ValueError.
+    ValueError.  `letter` is a single printable character.
     """
 
-    p: int
-    q: int
-    direction: Direction
-    letter: str = field(default="a")
+    _fields = ("p", "q", "direction", "letter")
 
-    def __post_init__(self):
-        _ints(("p", "q"), self.p, self.q)
-        object.__setattr__(self, "direction", Direction(self.direction))
-        if self.q < 1:
+    def __init__(self, p: int, q: int, direction: Direction, letter: str = "a"):
+        _ints(("p", "q"), p, q)
+        direction = Direction(direction)
+        if q < 1:
             raise ValueError("block size q must be positive")
-        if not 0 <= self.p <= self.q:
-            raise ValueError(f"need 0 <= p <= q, got p={self.p}, q={self.q}")
+        if not 0 <= p <= q:
+            raise ValueError(f"need 0 <= p <= q, got p={p}, q={q}")
+        if not _is_letter(letter):
+            raise ValueError(f"letter {letter!r} is not a single printable character")
+        self.__dict__.update(p=p, q=q, direction=direction, letter=letter)
 
 
 def decimate(w: Word, spec: DecimationSpec) -> Word:

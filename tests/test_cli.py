@@ -12,7 +12,8 @@ from math import gcd
 import pytest
 
 import christoffel
-from christoffel import BeattyOracleResult, SuperimpositionProblem, count_superimpositions
+from christoffel import (BeattyOracleResult, SuperimpositionProblem, SuperimpositionReport,
+                         count_superimpositions)
 from christoffel import cli
 from christoffel.cli import main
 
@@ -386,13 +387,15 @@ def test_boolean_false_still_exits_zero(capsys):
 
 
 def test_oracle_disagreement_exits_four(capsys, monkeypatch):
-    import dataclasses
-
     import christoffel.oracle as oracle_module
 
     real = oracle_module.analyze
-    monkeypatch.setattr(oracle_module, "analyze",
-                        lambda problem: dataclasses.replace(real(problem), count=999))
+
+    def lying_analyze(problem):
+        report = real(problem)
+        return SuperimpositionReport(report.superimposable, report.bezout, 999, report.canonical_shift)
+
+    monkeypatch.setattr(oracle_module, "analyze", lying_analyze)
     status, out, _ = run_cli(capsys, "superimpose", "--n", "13", "--a", "4",
                              "--m", "13", "--b", "3", "--oracle")
     assert status == 4

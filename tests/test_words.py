@@ -235,13 +235,16 @@ def test_predicates_on_long_words():
 
 
 def test_import_does_not_load_numpy():
+    # Each of these would slow CLI start; dataclasses also loads inspect, ast, dis and tokenize.
     src = os.path.dirname(os.path.dirname(os.path.abspath(christoffel.__file__)))
+    probe = ("import sys, christoffel.cli; "
+             "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, christoffel; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def test_circular_balance_implies_balance():
@@ -405,6 +408,9 @@ def test_decimation_spec_validation():
     for direction in ("sideways", "LEFT_TO_RIGHT", None, 0):
         with pytest.raises(ValueError):
             DecimationSpec(1, 2, direction, "a")
+    for letter in ("ab", "", "\n", 7):
+        with pytest.raises(ValueError, match="is not a single printable character"):
+            DecimationSpec(1, 2, Direction.LEFT_TO_RIGHT, letter)
 
 
 # Every public entry point that takes integer data: (call, valid arguments, their names).
