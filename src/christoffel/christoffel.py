@@ -75,7 +75,10 @@ class PositionSet(_Value):
 
     def __init__(self, modulus: int, residues: tuple[int, ...]):
         _ints(("modulus",), modulus)
-        residues = tuple(residues)
+        try:
+            residues = tuple(residues)
+        except TypeError:
+            raise TypeError(f"residues must be iterable, got {residues!r}") from None
         for r in residues:
             if type(r) is not int:
                 raise TypeError(f"residues must be ints, got {r!r}")
@@ -110,8 +113,8 @@ _MEMO_SIZE = 256
 
 
 def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
-    alphabet = OrderedAlphabet((low, high))  # validates the letters before they reach str.replace
-    # The substitutions only ever write low and high.
+    alphabet = OrderedAlphabet((low, high))  # validates the letters before they are concatenated
+    # The images of low and high are concatenations of low and high only.
     return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high), alphabet=alphabet)
 
 
@@ -123,8 +126,9 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
 
     Letter i is low exactly when (i+1)*beta advances modulo n past i*beta
     without wrapping, beta = n - alpha.  Without coprimality the same rule
-    yields the power (C(n/r, alpha/r))**r.  The word is built by Euclid's
-    algorithm on (alpha, beta), one substitution per partial quotient.
+    yields the power (C(n/r, alpha/r))**r.  Euclid's algorithm on (alpha,
+    beta) builds it, concatenating the two letters' images once per partial
+    quotient (standard factorization, Berstel, Lauve, Reutenauer, Saliola 2008).
     Words of length up to 1024 come from a bounded memo of recent builds,
     keyed by (n, alpha, low, high).
     """
@@ -143,8 +147,8 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
     With n = d*alpha + r, 0 <= r < alpha, consecutive positions differ by d
     or d + 1, and the gap sequence is the Christoffel word C(alpha, alpha - r)
     over (d < d + 1) (Berstel, Lauve, Reutenauer, Saliola 2008).  It is built
-    as bytes by the same substitutions as the word itself, and its prefix
-    sums are the positions.
+    as bytes by the same concatenation of letter images as the word itself,
+    and its prefix sums are the positions.
     """
     n, alpha = spec.n, spec.alpha
     d, r = divmod(n, alpha)

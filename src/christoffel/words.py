@@ -60,7 +60,10 @@ class OrderedAlphabet(_Value):
     _fields = ("letters",)
 
     def __init__(self, letters: tuple[str, ...]):
-        letters = tuple(letters)
+        try:
+            letters = tuple(letters)
+        except TypeError:
+            raise TypeError(f"letters must be iterable, got {letters!r}") from None
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
         for c in letters:
@@ -108,7 +111,11 @@ class Word(_Value):
         # counts add up to the length exactly when no other symbol occurs.
         if not isinstance(symbols, str) or sum(map(symbols.count, alphabet.letters)) != len(symbols):
             # Other input is walked too, so its first foreign symbol is named.
-            for i, c in enumerate(symbols):
+            try:
+                walk = enumerate(symbols)
+            except TypeError:
+                raise TypeError(f"symbols must be a str, got {symbols!r}") from None
+            for i, c in walk:
                 if c not in alphabet:
                     raise ValueError(
                         f"symbol {c!r} at index {i} is not in alphabet {alphabet.letters}"
@@ -221,22 +228,20 @@ def _christoffel_symbols(n: int, alpha: int, low, high):
     word for (a - k*b, b) under high -> low**k high; otherwise, with
     k = b // a, the image of the word for (a, b - k*a) under
     low -> low high**k (Berstel, Lauve, Reutenauer, Saliola 2008).  The
-    recursion ends at a single letter, and each step is one replace.
+    recursion ends at a single letter, so only the images of low and high
+    are kept, each step concatenating them: each pair is a node (u, v) of
+    the Christoffel tree, the standard factorization of uv (ibid.).
     """
     r = gcd(n, alpha)
     a, b = alpha // r, (n - alpha) // r
-    steps = []
     while a and b:
         if a >= b:
             k, a = divmod(a, b)
-            steps.append((high, low * k + high))
+            high = low * k + high
         else:
             k, b = divmod(b, a)
-            steps.append((low, low + high * k))
-    s = low if a else high
-    for old, new in reversed(steps):
-        s = s.replace(old, new)
-    return s * r
+            low = low + high * k
+    return (low if a else high) * r
 
 
 def is_balanced(w: Word) -> bool:

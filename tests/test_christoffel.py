@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ from christoffel import (
     windowed_bezout,
 )
 from christoffel.christoffel import _MEMO_MAX_N, _cached_word
+from christoffel.words import _christoffel_symbols
 
 from conftest import brute_christoffel, cw, scan_positions
 
@@ -89,6 +91,27 @@ def test_christoffel_word_and_positions_match_brute_force():
             word = christoffel_word(spec)
             assert word.symbols == brute_christoffel(n, alpha), (n, alpha)
             assert tuple(letter_positions(spec)) == tuple(sorted(scan_positions(word, "a"))), (n, alpha)
+
+
+def test_builder_matches_the_floor_definition_with_str_and_bytes_letters():
+    # alpha = 0, which no ChristoffelSpec reaches, and alpha = n included.
+    for n in range(1, 201):
+        for alpha in range(n + 1):
+            word = _christoffel_symbols(n, alpha, "a", "x")
+            assert word == brute_christoffel(n, alpha), (n, alpha)
+            assert _christoffel_symbols(n, alpha, b"a", b"x") == word.encode(), (n, alpha)
+
+
+def test_christoffel_word_memory_is_linear_in_its_length():
+    n = 100_003
+    for alpha in (1, 37_001, 61_804, n - 1):
+        tracemalloc.start()
+        try:
+            christoffel_word(ChristoffelSpec(n, alpha))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n, alpha
 
 
 def test_christoffel_word_and_positions_at_large_n():
