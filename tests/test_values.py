@@ -100,13 +100,11 @@ def test_prechecked_word_equals_checked_word():
 # Each message a checked constructor raises, with arguments that raise it.  The
 # DecimationSpec letter check is in test_words.test_decimation_spec_validation.
 REJECTED = [
-    (OrderedAlphabet, (5,), TypeError, "letters must be iterable, got 5"),
     (OrderedAlphabet, ((),), ValueError, "alphabet must contain at least one letter"),
     (OrderedAlphabet, (("ab", "x"),), ValueError, "letter 'ab' is not a single printable character"),
     (OrderedAlphabet, (("a", "a"),), ValueError, "alphabet letters must be distinct: ('a', 'a')"),
     (Word, ("ab", AX), ValueError, "symbol 'b' at index 1 is not in alphabet ('a', 'x')"),
     (Word, (["a", "x"], AX), ValueError, "symbols must be a str, not list"),
-    (Word, (5, AX), TypeError, "symbols must be a str, got 5"),
     (Word, ("ax", "ax"), TypeError, "alphabet must be an OrderedAlphabet, got 'ax'"),
     (Word, ("ax", ("a", "x")), TypeError, "alphabet must be an OrderedAlphabet, got ('a', 'x')"),
     (DecimationSpec, (1.0, 2, "left-to-right"), TypeError, "p must be an int, got 1.0"),
@@ -119,7 +117,6 @@ REJECTED = [
     (ChristoffelSpec, (8, 5, "a", "a"), ValueError, "low and high letters must differ"),
     (ChristoffelSpec, (8, 5, "a", 3), ValueError, "letter 3 is not a single printable character"),
     (PositionSet, (8.0, (0,)), TypeError, "modulus must be an int, got 8.0"),
-    (PositionSet, (8, 5), TypeError, "residues must be iterable, got 5"),
     (PositionSet, (8, (0, True)), TypeError, "residues must be ints, got True"),
     (PositionSet, (0, ()), ValueError, "modulus must be positive"),
     (PositionSet, (8, (1, 1)), ValueError, "residues must be distinct"),
@@ -137,6 +134,9 @@ REJECTED = [
     (BeattySpec, (13, 4.0), TypeError, "denominator must be an int, got 4.0"),
     (BeattySpec, (13, 4, 0.5), TypeError, "offset must be exact; pass a Fraction or a string, got 0.5"),
     (BeattySpec, (13, 0), ValueError, "denominator must be positive"),
+    (OrderedAlphabet, (5,), TypeError, "letters must be iterable, got 5"),
+    (Word, (5, AX), TypeError, "symbols must be a str, got 5"),
+    (PositionSet, (8, 5), TypeError, "residues must be iterable, got 5"),
 ]
 
 
