@@ -1,141 +1,13 @@
 """Christoffel words: construction, superimposition, decimation, Beatty and money problems."""
 
-from .words import (
-    Direction,
-    DecimationSpec,
-    OrderedAlphabet,
-    Word,
-    alphabet,
-    conjugate,
-    count_letter,
-    decimate,
-    is_balanced,
-    is_circularly_balanced,
-    is_primitive,
-    make_word,
-    projection,
-    reverse,
-)
-from .christoffel import (
-    CayleyGraph,
-    ChristoffelSpec,
-    LatticePath,
-    PositionSet,
-    Step,
-    cayley_graph,
-    christoffel_path,
-    christoffel_word,
-    letter_positions,
-    modular_complement,
-    modular_inverse,
-    windowed_bezout,
-)
-from .superimpose import (
-    BezoutSolution,
-    IntervalFamily,
-    SuperimpositionProblem,
-    SuperimpositionReport,
-    analyze,
-    canonical_shift,
-    canonical_shift_lifts,
-    canonical_witness,
-    collapse_merge,
-    count_superimpositions,
-    interval_family,
-    interval_offset,
-    is_superimposable,
-    merge_superimposition,
-    perfectly_superimposable,
-    reversal_superimposition_criterion,
-    solve_bezout,
-)
-from .money import (
-    CoinPair,
-    QuadrantBoundary,
-    boundary_word,
-    frobenius_number,
-    nonrepresentable_count,
-    representable,
-    shifted_cayley,
-)
-from .fraenkel import (
-    BeattySpec,
-    beatty_disjoint_exists,
-    beatty_slice,
-    fraenkel_word,
-    letter_frequencies,
-)
-from .oracle import (
-    BeattyOracleResult,
-    OracleResult,
-    crosscheck,
-    oracle_beatty_disjoint,
-    oracle_frobenius,
-    oracle_superimposable,
-)
+from .words import *
+from .christoffel import *
+from .superimpose import *
+from .money import *
+from .fraenkel import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeattyOracleResult",
-    "BeattySpec",
-    "BezoutSolution",
-    "CayleyGraph",
-    "ChristoffelSpec",
-    "CoinPair",
-    "DecimationSpec",
-    "Direction",
-    "IntervalFamily",
-    "LatticePath",
-    "OracleResult",
-    "OrderedAlphabet",
-    "PositionSet",
-    "QuadrantBoundary",
-    "Step",
-    "SuperimpositionProblem",
-    "SuperimpositionReport",
-    "Word",
-    "alphabet",
-    "analyze",
-    "beatty_disjoint_exists",
-    "beatty_slice",
-    "boundary_word",
-    "canonical_shift",
-    "canonical_shift_lifts",
-    "canonical_witness",
-    "cayley_graph",
-    "christoffel_path",
-    "christoffel_word",
-    "collapse_merge",
-    "conjugate",
-    "count_letter",
-    "count_superimpositions",
-    "crosscheck",
-    "decimate",
-    "fraenkel_word",
-    "frobenius_number",
-    "interval_family",
-    "interval_offset",
-    "is_balanced",
-    "is_circularly_balanced",
-    "is_primitive",
-    "is_superimposable",
-    "letter_frequencies",
-    "letter_positions",
-    "make_word",
-    "merge_superimposition",
-    "modular_complement",
-    "modular_inverse",
-    "nonrepresentable_count",
-    "oracle_beatty_disjoint",
-    "oracle_frobenius",
-    "oracle_superimposable",
-    "perfectly_superimposable",
-    "projection",
-    "representable",
-    "reversal_superimposition_criterion",
-    "reverse",
-    "shifted_cayley",
-    "solve_bezout",
-    "windowed_bezout",
-]
+__all__ = sorted(words.__all__ + christoffel.__all__ + superimpose.__all__ + money.__all__
+                 + fraenkel.__all__ + oracle.__all__)

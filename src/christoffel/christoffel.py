@@ -8,7 +8,13 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 
-from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _is_letter, _prechecked
+from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _prechecked, _single_chars
+
+__all__ = (
+    "CayleyGraph", "ChristoffelSpec", "LatticePath", "PositionSet", "Step", "cayley_graph",
+    "christoffel_path", "christoffel_word", "letter_positions", "modular_complement",
+    "modular_inverse", "windowed_bezout",
+)
 
 
 def modular_inverse(a: int, n: int) -> int:
@@ -54,9 +60,7 @@ class ChristoffelSpec(_Value):
             raise ValueError(f"need 1 <= alpha <= n, got alpha={alpha}, n={n}")
         if low == high:
             raise ValueError("low and high letters must differ")
-        for c in (low, high):
-            if not _is_letter(c):
-                raise ValueError(f"letter {c!r} is not a single printable character")
+        _single_chars(low, high)
         self.__dict__.update(n=n, alpha=alpha, low=low, high=high)
 
     @property
@@ -69,7 +73,11 @@ class ChristoffelSpec(_Value):
 
 
 class PositionSet(_Value):
-    """A set of residues modulo `modulus`, kept sorted."""
+    """A set of residues modulo `modulus`, kept sorted.
+
+    A modulus or residue that is not an int raises TypeError; a modulus below
+    1, or residues that repeat or leave [0, modulus), raise ValueError.
+    """
 
     _fields = ("modulus", "residues")
 
@@ -107,7 +115,7 @@ class PositionSet(_Value):
 # short builds are memoised by (n, alpha, low, high); long words are never
 # kept alive.  The memo holds at most _MEMO_SIZE * _MEMO_MAX_N symbols
 # (256 * 1024).  A hit returns an equal, immutable Word without building its
-# alphabet again.
+# alphabet again, and a build whose letters fail validation is not kept.
 _MEMO_MAX_N = 1024
 _MEMO_SIZE = 256
 
@@ -161,6 +169,7 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
         # Prefix sums of gaps d >= 1 and d + 1 that add up to n, last one left out.
         gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
         residues = tuple(accumulate(gaps[:-1], initial=0))
+    # Either way the residues strictly increase within [0, n).
     return _prechecked(PositionSet, modulus=n, residues=residues)
 
 

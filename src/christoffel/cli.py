@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .christoffel import (
@@ -319,7 +320,9 @@ def _cmd_oracle_check(args):
     return (OK if not disagreements else ORACLE_MISMATCH), payload, lines
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="christoffel",
         description="Christoffel words: construction, superimposition, decimation, Beatty and money problems.",

@@ -8,6 +8,8 @@ from math import floor, gcd
 from .superimpose import _bezout
 from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, count_letter
 
+__all__ = ("BeattySpec", "beatty_disjoint_exists", "beatty_slice", "fraenkel_word", "letter_frequencies")
+
 # Letter for recursion index i; indices past 9 continue through the uppercase
 # alphabet so every letter stays a single character.
 _INDEX_LETTERS = "123456789ABCDEFGHIJK"

@@ -7,6 +7,11 @@ from math import gcd
 from .christoffel import ChristoffelSpec, cayley_graph, modular_inverse
 from .words import Word, _Value, _ints
 
+__all__ = (
+    "CoinPair", "QuadrantBoundary", "boundary_word", "frobenius_number", "nonrepresentable_count",
+    "representable", "shifted_cayley",
+)
+
 
 class CoinPair(_Value):
     """Two coprime coin denominations."""

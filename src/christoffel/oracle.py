@@ -16,6 +16,11 @@ from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, cano
                           perfectly_superimposable)
 from .words import OrderedAlphabet, Word, _Value, _ints
 
+__all__ = (
+    "BeattyOracleResult", "OracleResult", "crosscheck", "oracle_beatty_disjoint", "oracle_frobenius",
+    "oracle_superimposable",
+)
+
 
 class OracleResult(_Value):
     """All shifts of the second (longer) word that separate the marked positions."""
@@ -43,7 +48,8 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
     it by n and ORs in one more copy.  The moving mask is two copies of the
     longer word, so bits [k, k + m) of it are its rotation by k, and each of
-    the m shifts is one shift-and-AND.
+    the m shifts is one shift-and-AND.  Every copy and every shift is tried,
+    in O(n + m) memory.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
@@ -74,6 +80,7 @@ def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:
 
     Agreement means the same decision, the same number of admissible shifts,
     and, when superimposable, a canonical witness that passes the validator.
+    It is the check behind `superimpose --oracle` and `oracle-check`.
     """
     result = oracle_superimposable(problem.first_word(), problem.second_word())
     report = analyze(problem)

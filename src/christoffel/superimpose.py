@@ -14,6 +14,14 @@ from math import gcd
 from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse, windowed_bezout
 from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
+__all__ = (
+    "BezoutSolution", "IntervalFamily", "SuperimpositionProblem", "SuperimpositionReport",
+    "analyze", "canonical_shift", "canonical_shift_lifts", "canonical_witness", "collapse_merge",
+    "count_superimpositions", "interval_family", "interval_offset", "is_superimposable",
+    "merge_superimposition", "perfectly_superimposable", "reversal_superimposition_criterion",
+    "solve_bezout",
+)
+
 
 class SuperimpositionProblem(_Value):
     """The pair C(n, q*alpha) over (a < x) and C(m, q*beta) over (b < x).

@@ -5,6 +5,12 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 
+__all__ = (
+    "DecimationSpec", "Direction", "OrderedAlphabet", "Word", "alphabet", "conjugate",
+    "count_letter", "decimate", "is_balanced", "is_circularly_balanced", "is_primitive",
+    "make_word", "projection", "reverse",
+)
+
 
 def _ints(names, *values):
     """Raise TypeError naming the first of `values` whose type is not exactly int, bool included.
@@ -17,9 +23,14 @@ def _ints(names, *values):
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _is_letter(c) -> bool:
-    """True iff `c` is a single printable character, the one test on every letter."""
-    return isinstance(c, str) and len(c) == 1 and c.isprintable()
+def _single_chars(*letters):
+    """Raise ValueError naming the first of `letters` that is not a single printable character.
+
+    The one test on every letter of an alphabet or a spec.
+    """
+    for c in letters:
+        if not (isinstance(c, str) and len(c) == 1 and c.isprintable()):
+            raise ValueError(f"letter {c!r} is not a single printable character")
 
 
 class _Value:
@@ -66,9 +77,7 @@ class OrderedAlphabet(_Value):
             raise TypeError(f"letters must be iterable, got {letters!r}") from None
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
-        for c in letters:
-            if not _is_letter(c):
-                raise ValueError(f"letter {c!r} is not a single printable character")
+        _single_chars(*letters)
         if len(set(letters)) != len(letters):
             raise ValueError(f"alphabet letters must be distinct: {letters}")
         self.__dict__.update(letters=letters)
@@ -354,8 +363,7 @@ class DecimationSpec(_Value):
             raise ValueError("block size q must be positive")
         if not 0 <= p <= q:
             raise ValueError(f"need 0 <= p <= q, got p={p}, q={q}")
-        if not _is_letter(letter):
-            raise ValueError(f"letter {letter!r} is not a single printable character")
+        _single_chars(letter)
         self.__dict__.update(p=p, q=q, direction=direction, letter=letter)
 
 

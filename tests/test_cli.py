@@ -95,20 +95,24 @@ def test_every_operation_is_reachable(capsys):
 
 
 def test_all_lists_every_public_definition():
+    """Each library module's __all__ is exactly its public functions and classes.
+
+    The package's __all__ is their sorted union, with no name in two lists.
+    """
+    exported = []
     for module_name in ("words", "christoffel", "superimpose", "money", "fraenkel", "oracle"):
         module = importlib.import_module(f"christoffel.{module_name}")
-        for name, obj in vars(module).items():
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__ \
-                    and not name.startswith("_"):
-                assert name in christoffel.__all__, f"{module.__name__}.{name}"
-    assert christoffel.__all__ == sorted(christoffel.__all__)
+        defined = {name for name, obj in vars(module).items()
+                   if (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__ and not name.startswith("_")}
+        assert set(module.__all__) == defined, module.__name__
+        exported += module.__all__
+    assert len(set(exported)) == len(exported)
+    assert christoffel.__all__ == sorted(exported)
 
 
-def test_cli_count_is_count_superimpositions(capsys, monkeypatch):
+def test_cli_count_is_count_superimpositions(capsys):
     """superimpose --count prints what count_superimpositions returns, on every small primitive pair."""
-    # Building the parser is most of a call's cost; one parser serves every call.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     sizes = [(n, n) for n in range(1, 21)] + [(n, m) for n in range(1, 13) for m in range(1, 13) if n != m]
     counts = set()
     for n, m in sizes:
@@ -153,6 +157,8 @@ def test_gen_precondition_violation(capsys):
     status, _, err = run_cli(capsys, "gen", "--n", "8", "--alpha", "0")
     assert status == 3
     assert "alpha" in err
+    assert run_cli(capsys, "gen", "--n", "8", "--alpha", "5", "--letters", "abc") == (
+        3, "", "error: expected 2 letters, got 'abc'\n")
 
 
 def test_unknown_verb_is_usage_error(capsys):
@@ -279,6 +285,15 @@ def test_merge_word_mode_conflict(capsys):
     status, _, err = run_cli(capsys, "merge", "--u", "az", "--v", "bz")
     assert status == 3
     assert "collide" in err
+    for argv, message in [(("--u", "az"), "word mode needs both --u and --v"),
+                          (("--n", "13", "--a", "4"), "pipeline mode needs --n, --a and --b")]:
+        assert run_cli(capsys, "merge", *argv) == (3, "", f"error: {message}\n")
+
+
+def test_merge_witness_failure_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr("christoffel.cli.perfectly_superimposable", lambda u, v: False)
+    assert run_cli(capsys, "merge", "--n", "13", "--a", "4", "--b", "3") == (
+        4, "", "error: internal: canonical witness failed to superimpose\n")
 
 
 def test_merge_not_superimposable(capsys):
@@ -321,6 +336,8 @@ def test_fraenkel(capsys):
     assert payload["frequencies"] == {"1": 4, "2": 2, "3": 1}
     assert payload["projection"] == "1x1x1x1"
     assert payload["projection_circularly_balanced"] is True
+    assert run_cli(capsys, "fraenkel", "--k", "3", "--project", "0") == (
+        3, "", "error: projection index must lie in [1, 3]\n")
 
 
 def test_beatty_slice(capsys):
@@ -353,9 +370,13 @@ def test_beatty_disjoint(capsys):
 
 
 def test_beatty_mode_confusion(capsys):
-    status, _, err = run_cli(capsys, "beatty", "--p", "3", "--q", "2",
-                             "--lo", "1", "--hi", "4", "--p1", "3")
-    assert status == 3
+    for argv, message in [
+        (("--p", "3", "--q", "2", "--lo", "1", "--hi", "4", "--p1", "3"),
+         "use either --p/--q/--lo/--hi or --p1/--q1/--p2/--q2"),
+        (("--p", "3", "--q", "2"), "slice mode needs --p, --q, --lo and --hi"),
+        (("--p1", "3", "--q1", "2"), "disjoint mode needs --p1, --q1, --p2 and --q2"),
+    ]:
+        assert run_cli(capsys, "beatty", *argv) == (3, "", f"error: {message}\n")
 
 
 def test_oracle_check(capsys):
@@ -400,6 +421,9 @@ def test_oracle_disagreement_exits_four(capsys, monkeypatch):
                              "--m", "13", "--b", "3", "--oracle")
     assert status == 4
     assert "DISAGREE" in out
+    assert run_cli(capsys, "oracle-check", "--max-n", "2") == (
+        4, "checked 2 instances: 2 disagreements\n"
+           "disagree: n=1 m=1 a=1 b=1\ndisagree: n=2 m=2 a=1 b=1\n", "")
 
 
 @pytest.mark.parametrize("target, liar, argv", [

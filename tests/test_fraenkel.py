@@ -83,8 +83,10 @@ def test_beatty_disjoint_normalises_slopes():
 
 
 def test_beatty_disjoint_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^slope parameters must be positive$"):
         beatty_disjoint_exists(0, 1, 3, 1)
+    with pytest.raises(ValueError, match=r"^all parameters must be positive$"):
+        oracle_beatty_disjoint(3, 1, 0, 1)
 
 
 def test_beatty_matches_superimposition_dictionary():

@@ -45,6 +45,8 @@ def test_problem_validation():
         SuperimpositionProblem(13, 13, 1, 4, 6)  # alpha, beta not coprime
     with pytest.raises(ValueError):
         SuperimpositionProblem.from_letter_counts(8, 1, 8, 2)  # second word is a power
+    with pytest.raises(ValueError, match=r"^marked-letter counts must be positive$"):
+        SuperimpositionProblem.from_letter_counts(8, 0, 8, 1)
     SuperimpositionProblem(13, 13, 2, 4, 3)  # valid: 8 and 6 both coprime to 13
 
 
@@ -185,6 +187,10 @@ def test_reversal_criterion_examples():
     assert reversal_superimposition_criterion(6, 1, 2)
     with pytest.raises(ValueError):
         reversal_superimposition_criterion(5, 2, 2)
+    with pytest.raises(ValueError, match=r"^length must be positive$"):
+        reversal_superimposition_criterion(0, 1, 1)
+    with pytest.raises(ValueError, match=r"^marked counts must lie in \[1, n\]$"):
+        reversal_superimposition_criterion(5, 6, 1)
 
 
 def test_reversal_criterion_matches_position_check():
