@@ -43,6 +43,13 @@ def modular_complement(alpha: int, n: int) -> int:
     return (-modular_inverse(alpha, n)) % n
 
 
+def _check_letters(low: str, high: str) -> None:
+    """The letter checks of a Christoffel word: distinct, single printable characters."""
+    if low == high:
+        raise ValueError("low and high letters must differ")
+    _single_chars(low, high)
+
+
 class ChristoffelSpec(_Value):
     """Identifies C(n, alpha): length n with alpha occurrences of the low letter.
 
@@ -58,9 +65,7 @@ class ChristoffelSpec(_Value):
             raise ValueError(f"length must be positive, got {n}")
         if not 1 <= alpha <= n:
             raise ValueError(f"need 1 <= alpha <= n, got alpha={alpha}, n={n}")
-        if low == high:
-            raise ValueError("low and high letters must differ")
-        _single_chars(low, high)
+        _check_letters(low, high)
         self.__dict__.update(n=n, alpha=alpha, low=low, high=high)
 
     @property
@@ -121,12 +126,27 @@ _MEMO_SIZE = 256
 
 
 def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
-    alphabet = OrderedAlphabet((low, high))  # validates the letters before they are concatenated
+    _check_letters(low, high)  # before the letters are concatenated
     # The images of low and high are concatenations of low and high only.
-    return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high), alphabet=alphabet)
+    return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high),
+                       alphabet=_prechecked(OrderedAlphabet, letters=(low, high)))
 
 
 _cached_word = lru_cache(maxsize=_MEMO_SIZE)(_build_word)
+
+
+def _word(n: int, alpha: int, low: str, high: str) -> Word:
+    """C(n, alpha) over (low < high), for 1 <= alpha <= n already checked.
+
+    The letters get ChristoffelSpec's checks, with its errors, on a memo miss
+    only: a memo entry exists only for a build whose letters passed them.
+    """
+    if n <= _MEMO_MAX_N:
+        try:
+            return _cached_word(n, alpha, low, high)
+        except TypeError:  # an unhashable letter, which the build's checks name
+            pass
+    return _build_word(n, alpha, low, high)
 
 
 def christoffel_word(spec: ChristoffelSpec) -> Word:
@@ -140,8 +160,7 @@ def christoffel_word(spec: ChristoffelSpec) -> Word:
     Words of length up to 1024 come from a bounded memo of recent builds,
     keyed by (n, alpha, low, high).
     """
-    build = _cached_word if spec.n <= _MEMO_MAX_N else _build_word
-    return build(spec.n, spec.alpha, spec.low, spec.high)
+    return _word(spec.n, spec.alpha, spec.low, spec.high)
 
 
 def letter_positions(spec: ChristoffelSpec) -> PositionSet:

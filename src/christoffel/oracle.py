@@ -12,9 +12,8 @@ from fractions import Fraction
 from math import floor, lcm
 
 from .money import CoinPair
-from .superimpose import (SuperimpositionProblem, _marked_letters, analyze, canonical_witness,
-                          perfectly_superimposable)
-from .words import OrderedAlphabet, Word, _Value, _ints
+from .superimpose import SuperimpositionProblem, _marked_letters, analyze, perfectly_superimposable
+from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
 __all__ = (
     "BeattyOracleResult", "OracleResult", "crosscheck", "oracle_beatty_disjoint", "oracle_frobenius",
@@ -28,12 +27,15 @@ class OracleResult(_Value):
     _fields = ("decision", "witnesses", "modulus")
 
     def __init__(self, decision: bool, witnesses: tuple[int, ...], modulus: int):
-        self.__dict__.update(decision=decision, witnesses=witnesses, modulus=modulus)
+        set_ = object.__setattr__  # no __dict__ object: see _Value
+        set_(self, "decision", decision)
+        set_(self, "witnesses", witnesses)
+        set_(self, "modulus", modulus)
 
 
 def _mark_mask(w: Word, mark: str, filler: str) -> int:
     """Bit i is set iff letter i of `w` is `mark`."""
-    return int(w.symbols[::-1].translate(str.maketrans(mark + filler, "10")), 2)
+    return int(w.symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
@@ -79,14 +81,17 @@ def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:
     """The oracle's verdict on a problem, and whether the fast path agrees with it.
 
     Agreement means the same decision, the same number of admissible shifts,
-    and, when superimposable, a canonical witness that passes the validator.
-    It is the check behind `superimpose --oracle` and `oracle-check`.
+    and, when superimposable, a canonical witness that passes the validator:
+    the two words the oracle saw, the second reversed and rotated by the
+    report's shift.  It is the check behind `superimpose --oracle` and
+    `oracle-check`.
     """
-    result = oracle_superimposable(problem.first_word(), problem.second_word())
+    u, v = problem.first_word(), problem.second_word()
+    result = oracle_superimposable(u, v)
     report = analyze(problem)
     agrees = report.superimposable == result.decision and report.count == len(result.witnesses)
     if agrees and report.superimposable:
-        agrees = perfectly_superimposable(*canonical_witness(problem))
+        agrees = perfectly_superimposable(u, conjugate(reverse(v), report.canonical_shift))
     return result, agrees
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .christoffel import ChristoffelSpec, christoffel_word, modular_inverse, windowed_bezout
+from .christoffel import _word, modular_inverse, windowed_bezout
 from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
 __all__ = (
@@ -45,7 +45,12 @@ class SuperimpositionProblem(_Value):
             raise ValueError(f"first marked count {q * alpha} must be <= and coprime to n={n}")
         if q * beta > m or gcd(q * beta, m) != 1:
             raise ValueError(f"second marked count {q * beta} must be <= and coprime to m={m}")
-        self.__dict__.update(n=n, m=m, q=q, alpha=alpha, beta=beta)
+        set_ = object.__setattr__  # no __dict__ object: see _Value
+        set_(self, "n", n)
+        set_(self, "m", m)
+        set_(self, "q", q)
+        set_(self, "alpha", alpha)
+        set_(self, "beta", beta)
 
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
@@ -60,11 +65,13 @@ class SuperimpositionProblem(_Value):
     def p(self) -> int:
         return gcd(self.n, self.m)
 
+    # __init__ has checked the lengths and counts; the letters get
+    # ChristoffelSpec's checks and errors.
     def first_word(self, mark: str = "a", filler: str = "x") -> Word:
-        return christoffel_word(ChristoffelSpec(self.n, self.q * self.alpha, mark, filler))
+        return _word(self.n, self.q * self.alpha, mark, filler)
 
     def second_word(self, mark: str = "b", filler: str = "x") -> Word:
-        return christoffel_word(ChristoffelSpec(self.m, self.q * self.beta, mark, filler))
+        return _word(self.m, self.q * self.beta, mark, filler)
 
 
 class BezoutSolution(_Value):
@@ -89,19 +96,19 @@ def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
 
 def is_superimposable(problem: SuperimpositionProblem) -> bool:
     """True iff some cyclic shift separates the two marked position sets."""
-    return solve_bezout(problem).x >= 1
+    return _bezout(problem.p, problem.q, problem.alpha, problem.beta)[0] >= 1
 
 
-def _count(problem: SuperimpositionProblem, sol: BezoutSolution) -> int:
-    if sol.x < 1:
+def _count(problem: SuperimpositionProblem, p: int, x: int, y: int) -> int:
+    if x < 1:
         return 0
-    x, y, a, b = sol.x, sol.y, problem.alpha, problem.beta
+    a, b = problem.alpha, problem.beta
     base = x * y if x <= b else x * a + y * b - a * b
-    return base * (max(problem.n, problem.m) // problem.p)
+    return base * (max(problem.n, problem.m) // p)
 
 
-def _shift(problem: SuperimpositionProblem) -> int:
-    return (1 - modular_inverse(problem.q, problem.p)) % problem.m
+def _shift(problem: SuperimpositionProblem, p: int) -> int:
+    return (1 - modular_inverse(problem.q, p)) % problem.m
 
 
 def count_superimpositions(problem: SuperimpositionProblem) -> int:
@@ -112,7 +119,8 @@ def count_superimpositions(problem: SuperimpositionProblem) -> int:
     max(n, m) / gcd(n, m).  Shifts are counted on the longer operand (the
     operands are swapped internally when needed), matching the oracle.
     """
-    return _count(problem, solve_bezout(problem))
+    p = problem.p
+    return _count(problem, p, *_bezout(p, problem.q, problem.alpha, problem.beta))
 
 
 def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
@@ -123,7 +131,7 @@ def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
     """
     if not is_superimposable(problem):
         raise ValueError("the two words are not superimposable; no shift exists")
-    return _shift(problem), True
+    return _shift(problem, problem.p), True
 
 
 def canonical_shift_lifts(problem: SuperimpositionProblem) -> tuple[int, ...]:
@@ -175,26 +183,26 @@ class SuperimpositionReport(_Value):
 
 def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:
     """Run the full fast path from one solve: decision, count, and canonical witness shift."""
-    sol = solve_bezout(problem)
-    ok = sol.x >= 1
+    p = problem.p
+    x, y = _bezout(p, problem.q, problem.alpha, problem.beta)
+    ok = x >= 1
     return SuperimpositionReport(
         superimposable=ok,
-        bezout=sol,
-        count=_count(problem, sol),
-        canonical_shift=_shift(problem) if ok else None,
+        bezout=BezoutSolution(x, y, problem.alpha - y),
+        count=_count(problem, p, x, y),
+        canonical_shift=_shift(problem, p) if ok else None,
     )
 
 
 def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
     """Resolve (mark of u, mark of v, shared filler) from two binary alphabets."""
-    lu, lv = set(u.alphabet.letters), set(v.alphabet.letters)
-    common = lu & lv
-    if len(lu) != 2 or len(lv) != 2 or len(common) != 1:
-        raise ValueError(
-            f"alphabets {u.alphabet.letters} and {v.alphabet.letters} must share exactly the filler"
-        )
-    filler = common.pop()
-    return (lu - {filler}).pop(), (lv - {filler}).pop(), filler
+    lu, lv = u.alphabet.letters, v.alphabet.letters
+    if len(lu) == 2 == len(lv):
+        # An alphabet's letters are distinct, so the filler is u's one letter that v has.
+        mark_u, filler = lu if lu[1] in lv else lu[::-1]
+        if filler in lv and mark_u not in lv:
+            return mark_u, lv[1] if lv[0] == filler else lv[0], filler
+    raise ValueError(f"alphabets {lu} and {lv} must share exactly the filler")
 
 
 def perfectly_superimposable(u: Word, v: Word) -> bool:

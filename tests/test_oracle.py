@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from itertools import permutations
 from math import gcd
 from random import Random
 
@@ -11,17 +12,19 @@ import christoffel.oracle as oracle_module
 from christoffel import (
     CoinPair,
     SuperimpositionProblem,
+    SuperimpositionReport,
     alphabet,
     conjugate,
     crosscheck,
     is_superimposable,
     make_word,
+    merge_superimposition,
     oracle_frobenius,
     oracle_superimposable,
     perfectly_superimposable,
 )
 
-from conftest import brute_superimposable, cw
+from conftest import brute_superimposable, cw, words_upto
 
 
 def test_oracle_superimposable_examples():
@@ -165,6 +168,44 @@ def test_oracle_error_messages(u, v, message):
         oracle_superimposable(make_word(u, alphabet(u or "ax")), make_word(v, alphabet(v or "bx")))
 
 
+def _reference_marks(lu, lv):
+    """(mark of u, mark of v, filler) by set algebra; None unless both have two letters, one shared."""
+    common = set(lu) & set(lv)
+    if len(lu) != 2 or len(lv) != 2 or len(common) != 1:
+        return None
+    (mark_u,), (mark_v,), (filler,) = set(lu) - common, set(lv) - common, common
+    return mark_u, mark_v, filler
+
+
+def test_marks_and_filler_match_a_set_reference():
+    pool = "abxy"
+    alphabets = [letters for size in (1, 2, 3) for letters in permutations(pool, size)]
+    for lu in alphabets:
+        for lv in alphabets:
+            u, v = make_word("".join(lu), alphabet(lu)), make_word("".join(lv), alphabet(lv))
+            reference = _reference_marks(lu, lv)
+            if reference is None:
+                message = f"^{re.escape(f'alphabets {lu} and {lv} must share exactly the filler')}$"
+                with pytest.raises(ValueError, match=message):
+                    perfectly_superimposable(u, v)
+                with pytest.raises(ValueError, match=message):
+                    oracle_superimposable(u, v)
+                continue
+            mark_u, mark_v, filler = reference
+            # Every word of length 1 to 3 on each side, so the answers depend on which letter marks.
+            for su in (s for s in words_upto(lu, 3) if s):
+                for sv in (s for s in words_upto(lv, 3) if s):
+                    u, v = make_word(su, alphabet(lu)), make_word(sv, alphabet(lv))
+                    g = gcd(len(su), len(sv))
+                    meet = {i % g for i, c in enumerate(su) if c == mark_u} & {
+                        j % g for j, c in enumerate(sv) if c == mark_v}
+                    assert perfectly_superimposable(u, v) == (not meet), (su, sv)
+                    assert _as_tuple(oracle_superimposable(u, v)) == brute_superimposable(u, v), (su, sv)
+            # The overlay's alphabet spells out the marks and the filler.
+            merged = merge_superimposition(make_word(filler, alphabet(lu)), make_word(filler, alphabet(lv)))
+            assert merged.alphabet.letters == (mark_u, mark_v, filler)
+
+
 def test_oracle_witnesses_revalidate():
     # Every reported shift must pass the independent residue check once the
     # second word is actually rotated.
@@ -202,12 +243,13 @@ def test_oracle_frobenius_covers_unit_coins():
 
 
 def test_crosscheck_catches_a_bad_witness(monkeypatch):
-    real = oracle_module.canonical_witness
+    real = oracle_module.analyze
 
     def shifted_witness(problem):
-        u, v = real(problem)
-        return u, conjugate(v, 1)
+        report = real(problem)
+        return SuperimpositionReport(report.superimposable, report.bezout, report.count,
+                                     report.canonical_shift + 1)
 
-    monkeypatch.setattr(oracle_module, "canonical_witness", shifted_witness)
+    monkeypatch.setattr(oracle_module, "analyze", shifted_witness)
     # C(13,4) and C(13,3) admit 3 of 13 shifts; rotating the witness by one breaks it.
     assert not crosscheck(SuperimpositionProblem(13, 13, 1, 4, 3))[1]

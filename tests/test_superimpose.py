@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 import christoffel.superimpose as superimpose_module
 from christoffel import (
     BezoutSolution,
+    ChristoffelSpec,
     SuperimpositionProblem,
     alphabet,
     analyze,
     canonical_shift,
     canonical_shift_lifts,
     canonical_witness,
+    christoffel_word,
     collapse_merge,
     conjugate,
     count_superimpositions,
+    crosscheck,
     interval_family,
     interval_offset,
     is_superimposable,
@@ -348,9 +351,25 @@ def test_analyze_report():
     assert not negative.superimposable
     assert negative.count == 0
     assert negative.canonical_shift is None
+    for problem in same_length_problems(12):
+        report = analyze(problem)
+        assert report.superimposable == is_superimposable(problem)
+        assert report.bezout == solve_bezout(problem)
+        assert report.count == count_superimpositions(problem)
+        assert report.canonical_shift == (canonical_shift(problem)[0] if report.superimposable else None)
 
 
-def test_analyze_solves_once(monkeypatch):
+SUPERIMPOSABLE = SuperimpositionProblem(13, 13, 1, 4, 3)
+NOT_SUPERIMPOSABLE = SuperimpositionProblem(3, 4, 1, 1, 1)
+
+
+@pytest.mark.parametrize("call, problem", [
+    pytest.param(call, problem, id=f"{call.__name__}-{kind}")
+    for call in (is_superimposable, count_superimpositions, canonical_shift, analyze, crosscheck)
+    for kind, problem in (("superimposable", SUPERIMPOSABLE), ("not-superimposable", NOT_SUPERIMPOSABLE))
+    if call is not canonical_shift or problem is SUPERIMPOSABLE  # it raises when no shift exists
+])
+def test_each_call_solves_once(monkeypatch, call, problem):
     calls = []
     real = superimpose_module.windowed_bezout
 
@@ -359,9 +378,38 @@ def test_analyze_solves_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(superimpose_module, "windowed_bezout", counting)
-    for problem in (SuperimpositionProblem(13, 13, 1, 4, 3), SuperimpositionProblem(3, 4, 1, 1, 1)):
-        calls.clear()
-        report = analyze(problem)
-        assert len(calls) == 1
-        assert report.count == count_superimpositions(problem)
-        assert report.canonical_shift == (canonical_shift(problem)[0] if report.superimposable else None)
+    call(problem)
+    assert len(calls) == 1
+
+
+def test_problem_words_are_the_spec_words():
+    letter_pairs = (("a", "x"), ("1", "0"), ("b", "x"), ("z", "a"))
+    spec_words = {(n, a, *letters): christoffel_word(ChristoffelSpec(n, a, *letters))
+                  for n in range(1, 31) for a in coprimes(n) for letters in letter_pairs}
+    for n in range(1, 31):
+        for m in range(1, 31):
+            for a in coprimes(n):
+                for b in coprimes(m):
+                    problem = SuperimpositionProblem.from_letter_counts(n, a, m, b)
+                    assert problem.first_word() == spec_words[n, a, "a", "x"], (n, a)
+                    assert problem.second_word() == spec_words[m, b, "b", "x"], (m, b)
+                    assert problem.first_word("1", "0") == spec_words[n, a, "1", "0"], (n, a)
+                    assert problem.second_word("z", "a") == spec_words[m, b, "z", "a"], (m, b)
+
+
+@pytest.mark.parametrize("problem", [SuperimpositionProblem(13, 13, 1, 4, 3),
+                                     SuperimpositionProblem(2003, 2005, 1, 1, 2)],
+                         ids=["memoised", "too-long-for-the-memo"])
+def test_problem_words_reject_letters_like_the_spec(problem):
+    words = ((problem.first_word, problem.n, problem.q * problem.alpha, "a"),
+             (problem.second_word, problem.m, problem.q * problem.beta, "b"))
+    for word, length, count, mark in words:
+        for letters in ((mark, mark), ("x", "x"), ("ab", "x"), (mark, "ab"), ("\n", "x"), (mark, "\n"),
+                        (1, "x"), (mark, 1), (["a"], "x"), (mark, ["a"])):
+            with pytest.raises(Exception) as expected:
+                ChristoffelSpec(length, count, *letters)
+            with pytest.raises(expected.type) as got:
+                word(*letters)
+            assert str(got.value) == str(expected.value), letters
+            # A failed call leaves nothing behind: good letters at the same lengths still work.
+            assert word(mark, "x") == christoffel_word(ChristoffelSpec(length, count, mark, "x"))
