@@ -38,8 +38,16 @@ def _mark_mask(w: Word, mark: str, filler: str) -> int:
     return int(w.symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
+def _positions(s: str, letter: str):
+    """Indices of `letter` in `s`, in increasing order."""
+    i = s.find(letter)
+    while i >= 0:
+        yield i
+        i = s.find(letter, i + 1)
+
+
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
-    """Try every shift of the longer word and test residue disjointness directly.
+    """Mark every shift of the longer word that two marks block; the rest are the witnesses.
 
     The operands are ordered so the shifted word is the longer one, of length
     m.  The moving word repeats every m letters, so a mark of the fixed word
@@ -48,10 +56,25 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     that make up one common period are therefore laid on a circle of m bits,
     copy j rotated by j*n mod m, by the binary method: a mask of h copies is
     doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
-    it by n and ORs in one more copy.  The moving mask is two copies of the
-    longer word, so bits [k, k + m) of it are its rotation by k, and each of
-    the m shifts is one shift-and-AND.  Every copy and every shift is tried,
-    in O(n + m) memory.
+    it by n and ORs in one more copy.
+
+    Shift k is blocked iff some fixed mark t and some moving mark s have
+    s = t + k (mod m).  The blocked mask is built from the marks of the side
+    that has fewer of them (the fixed side on a tie).  Each fixed mark t ORs
+    in the doubled moving mask shifted right by t, which sets bit (s - t) mod
+    m for every moving mark s.  Each moving mark s ORs in the negated fixed
+    set, bit -t mod m for every fixed mark t (the reversed mask rotated by 1),
+    rotated by s.  The walk stops once every shift is blocked.  So every
+    shift is decided: a blocked shift is shown blocked by an explicit pair of
+    marks, and a free shift is reported only after every mark on the walked
+    side has been tried.  The witnesses are the free shifts, in increasing
+    order.
+
+    The fold costs O(log(m / gcd(n, m))) rotations.  The walk costs at most
+    min(F, M) shifts or rotations for F fixed and M moving marks, fewer when
+    it stops; walking the denser side instead could take m where one
+    suffices.  Each is O(m) bit operations, and the masks and the strings
+    they are read from take O(n + m) memory.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
@@ -71,9 +94,21 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         if bit == "1":
             fixed = rotate(fixed, n) | one
             have += 1
-    moving = _mark_mask(v, mark_v, filler)
-    moving |= moving << m
-    witnesses = tuple([k for k in range(m) if not (moving >> k) & fixed])
+    blocked = 0
+    if fixed.bit_count() <= v.symbols.count(mark_v):
+        moving = _mark_mask(v, mark_v, filler)
+        moving |= moving << m
+        for t in _positions(bin(fixed)[:1:-1], "1"):
+            blocked |= moving >> t & full
+            if blocked == full:
+                return OracleResult(False, (), m)
+    else:
+        negated = rotate(int(f"{fixed:0{m}b}"[::-1], 2), 1)
+        for s in _positions(v.symbols, mark_v):
+            blocked |= rotate(negated, s)
+            if blocked == full:
+                return OracleResult(False, (), m)
+    witnesses = tuple([k for k, bit in enumerate(bin(full ^ blocked)[:1:-1]) if bit == "1"])
     return OracleResult(bool(witnesses), witnesses, m)
 
 
@@ -122,7 +157,7 @@ def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleRe
 
     With offset b the terms floor(p*i/q + b) repeat with period p; their residues
     at i < q spell a mark/x word of length p, a translate of the offset-0 word that
-    `str.find` locates in two copies of it.  `oracle_superimposable` tries every shift
+    `str.find` locates in two copies of it.  `oracle_superimposable` decides every shift
     of the longer offset-0 word against the other.  The witness is the first disjoint
     pair in steps of 1/max(q1, q2) over [0, 1) x [0, p2), first offset outer.  Integer
     second offsets give every translate of the second sequence, of period p2, so the

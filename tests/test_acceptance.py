@@ -13,6 +13,7 @@ runs.
 """
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -34,7 +35,7 @@ from christoffel import (
     Direction,
     fraenkel_word,
     frobenius_number,
-    interval_offset,
+    interval_family,
     is_circularly_balanced,
     is_superimposable,
     letter_frequencies,
@@ -117,7 +118,9 @@ def grid():
             if max(n, m) <= EXHAUSTIVE_MAX:
                 pairs = [(a, b) for a in cop_n for b in cop_m]
             else:
-                pairs = [(a, b) for a in cop_n for b in cop_m if a + b <= p + 1]
+                # a + b <= p + 1: each a <= p takes the prefix of cop_m up to p + 1 - a.
+                pairs = [(a, b) for a in cop_n[:bisect_right(cop_n, p)]
+                         for b in cop_m[:bisect_right(cop_m, p + 1 - a)]]
                 pairs.append((cop_n[-1], cop_m[-1]))
                 pairs.append((cop_n[len(cop_n) // 2], cop_m[len(cop_m) // 2]))
             words_a = {a: christoffel_word(ChristoffelSpec(n, a)) for a in {a for a, _ in pairs}}
@@ -327,7 +330,7 @@ def test_criterion_10_structural_invariants():
                 problem = SuperimpositionProblem.from_letter_counts(n, a_count, n, b_count)
                 sol = solve_bezout(problem)
                 q, a, b = problem.q, problem.alpha, problem.beta
-                offsets = [interval_offset(r, sol, q, a, b) for r in range(a)]
+                offsets = interval_family(problem).offsets
                 assert offsets[0] == 0
                 if sol.y == a:
                     assert offsets[-1] == n - sol.x - 2 * b * (q - 1) - b

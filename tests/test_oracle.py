@@ -124,6 +124,51 @@ def test_oracle_matches_literal_reference_on_long_pairs():
     assert decisions == {False, True}
 
 
+def _marks_on_the_circle(u, v):
+    """(F, M): marked residues mod the longer length m of the fixed word's copies, and the moving word's marks."""
+    if len(u) > len(v):
+        u, v = v, u
+    n, m = len(u), len(v)
+    fixed = {(t + j * n) % m for t, c in enumerate(u.symbols) if c != "x" for j in range(m)}
+    return len(fixed), sum(c != "x" for c in v.symbols)
+
+
+def test_oracle_matches_literal_reference_whichever_side_is_sparser():
+    # The oracle walks the marks of whichever side has fewer, and stops once
+    # every shift is blocked.  Every pair of words of length <= 12, primitive
+    # words and powers, in both orders, covers each side walked, ties, n > m,
+    # a moving word of length 1, and both a stop (no free shift) and none;
+    # a lone free shift is also moved to each end of the mask.
+    specs = [(n, a) for n in range(1, 13) for a in range(1, n + 1)]
+    seen = set()
+    for n, a in specs:
+        u = cw(n, a)
+        for m, b in specs:
+            v = cw(m, b, "b", "x")
+            for first, second in ((u, v), (v, u)):
+                expected = brute_superimposable(first, second)
+                assert _as_tuple(oracle_superimposable(first, second)) == expected, (n, a, m, b)
+                fixed, moving = _marks_on_the_circle(first, second)
+                sparser = "tie" if fixed == moving else "fixed" if fixed < moving else "moving"
+                seen.add((sparser, expected[0]))
+                seen.add(("n > m", len(first) > len(second), expected[0]))
+                seen.add(("m = 1", max(n, m) == 1, expected[0]))
+                if len(expected[1]) == 1:
+                    # Rotating the moving word puts its one free shift on the
+                    # first bit of the mask, then on the last.
+                    k, last = expected[1][0], max(n, m) - 1
+                    for r, witness in ((k, 0), (k + 1, last)):
+                        if len(first) <= len(second):
+                            pair = first, conjugate(second, r)
+                        else:
+                            pair = conjugate(first, r), second
+                        assert brute_superimposable(*pair)[1] == (witness,)
+                        assert oracle_superimposable(*pair).witnesses == (witness,), (n, a, m, b, r)
+    assert seen >= {(side, free) for side in ("fixed", "moving", "tie") for free in (False, True)}
+    assert seen >= {("n > m", True, free) for free in (False, True)}
+    assert seen >= {("m = 1", True, False)}
+
+
 def test_oracle_memory_is_linear_in_the_lengths():
     # One common period of 4001 x 4003 is ~16 million letters; the masks the
     # oracle holds are a few 4003-bit ints.
