@@ -59,22 +59,24 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     it by n and ORs in one more copy.
 
     Shift k is blocked iff some fixed mark t and some moving mark s have
-    s = t + k (mod m).  The blocked mask is built from the marks of the side
-    that has fewer of them (the fixed side on a tie).  Each fixed mark t ORs
-    in the doubled moving mask shifted right by t, which sets bit (s - t) mod
-    m for every moving mark s.  Each moving mark s ORs in the negated fixed
-    set, bit -t mod m for every fixed mark t (the reversed mask rotated by 1),
-    rotated by s.  The walk stops once every shift is blocked.  So every
-    shift is decided: a blocked shift is shown blocked by an explicit pair of
-    marks, and a free shift is reported only after every mark on the walked
-    side has been tried.  The witnesses are the free shifts, in increasing
-    order.
+    s = t + k (mod m), so a blocked-shift mask gets bit (s - t) mod m for
+    every such pair.  It is built from the marks of the side that has fewer
+    of them (the fixed side on a tie), by one shift per walked mark of a
+    doubled mask of the other side.  Walking fixed marks t, the doubled
+    moving mask shifted right by t sets bit (s - t) mod m for every moving
+    mark s.  Walking moving marks s, at index i = m - 1 - s of the reversed
+    moving word, the doubled reversed fixed mask, bit m - 1 - t for every
+    fixed mark t, shifted right by i sets the same bit.  The walk stops once
+    every shift is blocked.  So every shift is decided: a blocked shift is
+    shown blocked by an explicit pair of marks, and a free shift is reported
+    only after every mark on the walked side has been tried.  The witnesses
+    are the free shifts, in increasing order.
 
     The fold costs O(log(m / gcd(n, m))) rotations.  The walk costs at most
-    min(F, M) shifts or rotations for F fixed and M moving marks, fewer when
-    it stops; walking the denser side instead could take m where one
-    suffices.  Each is O(m) bit operations, and the masks and the strings
-    they are read from take O(n + m) memory.
+    min(F, M) shifts for F fixed and M moving marks, fewer when it stops;
+    walking the denser side instead could take m where one suffices.  Each
+    is O(m) bit operations, and the masks and the strings they are read
+    from take O(n + m) memory.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
@@ -94,21 +96,18 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         if bit == "1":
             fixed = rotate(fixed, n) | one
             have += 1
-    blocked = 0
+    fixed_bits = f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
     if fixed.bit_count() <= v.symbols.count(mark_v):
-        moving = _mark_mask(v, mark_v, filler)
-        moving |= moving << m
-        for t in _positions(bin(fixed)[:1:-1], "1"):
-            blocked |= moving >> t & full
-            if blocked == full:
-                return OracleResult(False, (), m)
+        source, walked, letter = _mark_mask(v, mark_v, filler), fixed_bits, "1"
     else:
-        negated = rotate(int(f"{fixed:0{m}b}"[::-1], 2), 1)
-        for s in _positions(v.symbols, mark_v):
-            blocked |= rotate(negated, s)
-            if blocked == full:
-                return OracleResult(False, (), m)
-    witnesses = tuple([k for k, bit in enumerate(bin(full ^ blocked)[:1:-1]) if bit == "1"])
+        source, walked, letter = int(fixed_bits, 2), v.symbols[::-1], mark_v
+    source |= source << m
+    blocked = 0
+    for i in _positions(walked, letter):
+        blocked |= source >> i & full
+        if blocked == full:
+            return OracleResult(False, (), m)
+    witnesses = tuple(_positions(bin(full ^ blocked)[:1:-1], "1"))
     return OracleResult(bool(witnesses), witnesses, m)
 
 

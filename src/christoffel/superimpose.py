@@ -165,9 +165,8 @@ def interval_family(problem: SuperimpositionProblem) -> IntervalFamily:
     """The family of blocked-shift intervals underlying the count, at length p."""
     sol = solve_bezout(problem)
     q, a, b = problem.q, problem.alpha, problem.beta
-    step, z, lo, hi = sol.x + (2 * q - 1) * b, sol.z, -(q - 1) * b, q * b - 1
-    offsets = tuple([r * step - (z * r // a) * b for r in range(a)])
-    intervals = tuple([(lo - off, hi - off) for off in offsets])
+    offsets = tuple(interval_offset(r, sol, q, a, b) for r in range(a))
+    intervals = tuple((-(q - 1) * b - off, q * b - 1 - off) for off in offsets)
     return IntervalFamily(offsets, intervals)
 
 

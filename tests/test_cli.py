@@ -19,11 +19,9 @@ from christoffel.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
-# Public functions that no README command calls. The library tests cover them;
-# test_cli_count_is_count_superimpositions ties the count to `superimpose --count`,
-# and test_interval_family_offsets_are_the_per_index_offsets ties interval_offset
-# to the offsets that `superimpose --offsets` prints.
-LIBRARY_ONLY = {"alphabet", "canonical_shift_lifts", "count_superimpositions", "interval_offset"}
+# Public functions that no README command calls. The library tests cover them,
+# and test_cli_count_is_count_superimpositions ties the count to `superimpose --count`.
+LIBRARY_ONLY = {"alphabet", "canonical_shift_lifts", "count_superimpositions"}
 
 
 def run_cli(capsys, *args):

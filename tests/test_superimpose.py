@@ -235,14 +235,6 @@ def test_interval_offset_unit_alpha_hits_shifted_endpoint():
     assert interval_offset(0, sol, 1, 1, 3) == 13 - sol.x - 3
 
 
-def test_interval_family_offsets_are_the_per_index_offsets():
-    for problem in same_length_problems(40):
-        sol = solve_bezout(problem)
-        q, a, b = problem.q, problem.alpha, problem.beta
-        per_index = tuple(interval_offset(r, sol, q, a, b) for r in range(a))
-        assert interval_family(problem).offsets == per_index, problem
-
-
 def test_interval_family_cardinality():
     for problem in same_length_problems(40):
         family = interval_family(problem)
