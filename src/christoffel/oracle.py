@@ -2,8 +2,12 @@
 
 Everything here re-derives its answer by exhaustion over residues, shifts, or
 sieves, sharing no arithmetic with the closed-form routines it is used to
-check.  `crosscheck` is the one place where the superimposition fast path is
-compared against its oracle.
+check.  What it takes from `superimpose` is parsing: `_marked_letters` reads
+the marks and the filler off two alphabets, and `_mark_mask` reads a word
+into an int with bit i set iff letter i is a mark.  The validator folds those
+masks by residue, while the oracle rotates them over every shift, so the two
+share a parse, not arithmetic.  `crosscheck` is the one place where the
+superimposition fast path is compared against its oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from fractions import Fraction
 from math import floor, lcm
 
 from .money import CoinPair
-from .superimpose import SuperimpositionProblem, _marked_letters, analyze, perfectly_superimposable
+from .superimpose import (
+    SuperimpositionProblem, _mark_mask, _marked_letters, analyze, perfectly_superimposable,
+)
 from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
 __all__ = (
@@ -31,11 +37,6 @@ class OracleResult(_Value):
         set_(self, "decision", decision)
         set_(self, "witnesses", witnesses)
         set_(self, "modulus", modulus)
-
-
-def _mark_mask(w: Word, mark: str, filler: str) -> int:
-    """Bit i is set iff letter i of `w` is `mark`."""
-    return int(w.symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
 def _positions(s: str, letter: str):

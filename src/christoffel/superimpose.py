@@ -205,41 +205,68 @@ def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
     raise ValueError(f"alphabets {lu} and {lv} must share exactly the filler")
 
 
+def _mark_mask(w: Word, mark: str, filler: str) -> int:
+    """Bit i is set iff letter i of `w` is `mark`."""
+    return int(w.symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
+
+
 def perfectly_superimposable(u: Word, v: Word) -> bool:
     """True iff the marked positions of u and v are disjoint as periodic sets.
 
     The words repeat with their own lengths n and m as periods.  By the
     Chinese remainder theorem, marks at i (mod n) and j (mod m) meet exactly
-    when i = j (mod gcd(n, m)), so the test runs in O(n + m).
+    when i = j (mod g), g = gcd(n, m).  So each word's mark mask is folded
+    onto g bits, bit r set iff the word has a mark at some index = r (mod g):
+    while more than g bits remain, the mask is cut at the smallest multiple
+    of g that holds at least half of them, and the part above the cut is
+    OR-ed onto the part below.  Every cut is a multiple of g, so each bit
+    keeps its residue mod g.  The words meet iff the two folds share a bit.
+
+    That is O(log(n / g) + log(m / g)) big-int operations of O(n + m) bit
+    work in all, none when n = m.  The parse of a word into its mask holds
+    two copies of its string, so memory peaks near 2*max(n, m) bytes.
     """
-    if len(u) == 0 or len(v) == 0:
+    n, m = len(u.symbols), len(v.symbols)
+    if n == 0 or m == 0:
         raise ValueError("superimposition needs nonempty words")
-    mark_u, mark_v, _ = _marked_letters(u, v)
-    g = gcd(len(u), len(v))
-    res_u = {i % g for i, c in enumerate(u.symbols) if c == mark_u}
-    return not any(j % g in res_u for j, c in enumerate(v.symbols) if c == mark_v)
+    mark_u, mark_v, filler = _marked_letters(u, v)
+    g = gcd(n, m)
+
+    def fold(mask: int, width: int) -> int:
+        while width > g:
+            width = (width // g + 1) // 2 * g
+            mask = mask & ((1 << width) - 1) | mask >> width
+        return mask
+
+    return not fold(_mark_mask(u, mark_u, filler), n) & fold(_mark_mask(v, mark_v, filler), m)
 
 
 def merge_superimposition(u: Word, v: Word) -> Word:
     """Overlay two perfectly superimposable equal-length words into one.
 
     Position i carries u's mark if u has it there, v's mark if v does, and
-    the shared filler otherwise.
+    the shared filler otherwise.  Each word is coded one byte per letter, u's
+    mark as 1, v's as 2 and the filler as 0, and the two codes are added as
+    big-endian ints.  A byte of the sum is at most 1 + 2 = 3, so nothing
+    carries and byte i of the sum is the sum of the two bytes i: it is 3
+    exactly where both words have a mark, and the first byte 3 is the first
+    collision.
     """
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    n = len(u)
+    if n != len(v):
+        raise ValueError(f"length mismatch: {n} vs {len(v)}")
     mark_u, mark_v, filler = _marked_letters(u, v)
-    out = []
-    for i in range(len(u)):
-        if u.symbols[i] == mark_u:
-            if v.symbols[i] == mark_v:
-                raise ValueError(f"marked letters collide at position {i}")
-            out.append(mark_u)
-        elif v.symbols[i] == mark_v:
-            out.append(mark_v)
-        else:
-            out.append(filler)
-    return Word("".join(out), OrderedAlphabet((mark_u, mark_v, filler)))
+
+    def code(w: Word, mark: str, byte: str) -> int:
+        return int.from_bytes(w.symbols.translate({ord(mark): byte, ord(filler): "\x00"})
+                              .encode("latin-1"), "big")
+
+    merged = (code(u, mark_u, "\x01") + code(v, mark_v, "\x02")).to_bytes(n, "big")
+    i = merged.find(3)
+    if i >= 0:
+        raise ValueError(f"marked letters collide at position {i}")
+    symbols = merged.decode("latin-1").translate({0: filler, 1: mark_u, 2: mark_v})
+    return Word(symbols, OrderedAlphabet((mark_u, mark_v, filler)))
 
 
 def collapse_merge(w: Word, filler: str) -> Word:

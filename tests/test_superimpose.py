@@ -1,3 +1,5 @@
+import tracemalloc
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,7 +10,9 @@ import christoffel.superimpose as superimpose_module
 from christoffel import (
     BezoutSolution,
     ChristoffelSpec,
+    OrderedAlphabet,
     SuperimpositionProblem,
+    Word,
     alphabet,
     analyze,
     canonical_shift,
@@ -30,8 +34,51 @@ from christoffel import (
     reverse,
     solve_bezout,
 )
+from christoffel.superimpose import _marked_letters
 
 from conftest import coprimes, cw, scan_positions
+
+
+def reference_superimposable(u, v):
+    """The validator letter by letter: the residues mod gcd(n, m) of u's marks against v's."""
+    if len(u) == 0 or len(v) == 0:
+        raise ValueError("superimposition needs nonempty words")
+    mark_u, mark_v, _ = _marked_letters(u, v)
+    g = gcd(len(u), len(v))
+    res_u = {i % g for i, c in enumerate(u.symbols) if c == mark_u}
+    return not any(j % g in res_u for j, c in enumerate(v.symbols) if c == mark_v)
+
+
+def reference_merge(u, v):
+    """The overlay letter by letter, raising at the first position where both words have a mark."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    mark_u, mark_v, filler = _marked_letters(u, v)
+    out = []
+    for i in range(len(u)):
+        if u.symbols[i] == mark_u:
+            if v.symbols[i] == mark_v:
+                raise ValueError(f"marked letters collide at position {i}")
+            out.append(mark_u)
+        elif v.symbols[i] == mark_v:
+            out.append(mark_v)
+        else:
+            out.append(filler)
+    return Word("".join(out), OrderedAlphabet((mark_u, mark_v, filler)))
+
+
+def merge_outcome(merge, u, v):
+    """The merged word, or the message of the ValueError that `merge` raised instead."""
+    try:
+        return merge(u, v)
+    except ValueError as error:
+        return str(error)
+
+
+def short_words(letters, max_len):
+    """Every nonempty word over `letters` of length at most `max_len`."""
+    return [make_word("".join(t), alphabet(letters))
+            for length in range(1, max_len + 1) for t in product(letters, repeat=length)]
 
 
 def same_length_problems(max_n):
@@ -145,6 +192,40 @@ def test_perfectly_superimposable_matches_oracle_on_arbitrary_words(u, v):
     assert perfectly_superimposable(u, v) == (0 in oracle_superimposable(u, v).witnesses)
 
 
+def test_perfectly_superimposable_matches_reference_on_every_short_pair():
+    us, vs = short_words("ax", 7), short_words("bx", 7)
+    assert len(us) * len(vs) == 64_516
+    for u in us:
+        for v in vs:
+            assert perfectly_superimposable(u, v) == reference_superimposable(u, v), (u.symbols, v.symbols)
+
+
+def test_validator_and_merge_match_references_on_christoffel_pairs():
+    # Every count, so powers too, against every conjugate of the second word.
+    firsts = [cw(n, a) for n in range(1, 17) for a in range(1, n + 1)]
+    seconds = {n: [conjugate(cw(n, b, "b", "x"), k) for b in range(1, n + 1) for k in range(n)]
+               for n in range(1, 17)}
+    for u in firsts:
+        for vs in seconds.values():
+            for v in vs:
+                assert perfectly_superimposable(u, v) == reference_superimposable(u, v), (u, v)
+        for v in seconds[len(u)]:
+            assert merge_outcome(merge_superimposition, u, v) == merge_outcome(reference_merge, u, v), (u, v)
+
+
+@pytest.mark.parametrize("n, a_count, m, b_count", [(100_003, 37_001, 100_003, 50_001),
+                                                    (100_000, 30_001, 150_000, 70_001)])
+def test_perfectly_superimposable_memory_is_linear_in_the_lengths(n, a_count, m, b_count):
+    u, v = cw(n, a_count), cw(m, b_count, "b", "x")
+    tracemalloc.start()
+    try:
+        perfectly_superimposable(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n + m)
+
+
 def test_perfectly_superimposable_alphabet_mismatch():
     with pytest.raises(ValueError):
         perfectly_superimposable(make_word("ax", alphabet("ax")), make_word("ax", alphabet("ax")))
@@ -170,6 +251,16 @@ def test_merge_all_filler():
     v = make_word("zzz", alphabet("bz"))
     assert merge_superimposition(u, v).symbols == "zzz"
     assert collapse_merge(merge_superimposition(u, v), "z").symbols == ""
+    empty = merge_superimposition(make_word("", alphabet("az")), make_word("", alphabet("bz")))
+    assert empty == make_word("", alphabet("abz"))
+
+
+def test_merge_matches_reference_on_every_short_equal_length_pair():
+    us, vs = short_words("az", 7), short_words("bz", 7)
+    pairs = [(u, v) for u in us for v in vs if len(u) == len(v)]
+    assert len(pairs) == 21_844
+    for u, v in pairs:
+        assert merge_outcome(merge_superimposition, u, v) == merge_outcome(reference_merge, u, v), (u, v)
 
 
 def test_merge_conflict_and_length_errors():
