@@ -6,15 +6,20 @@ check.  What it takes from `superimpose` is parsing: `_marked_letters` reads
 the marks and the filler off two alphabets, and `_mark_mask` reads a word
 into an int with bit i set iff letter i is a mark.  The validator folds those
 masks by residue, while the oracle rotates them over every shift, so the two
-share a parse, not arithmetic.  `crosscheck` is the one place where the
-superimposition fast path is compared against its oracle.
+share a parse, not arithmetic.  The oracle's fixed side (the shorter word's
+mask, folded onto the longer word's circle) is memoised for short words, with
+the bounds of the word memo; the memo skips repeated work only.  `crosscheck`
+is the one place where the superimposition fast path is compared against its
+oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, lcm
 
+from .christoffel import _MEMO_MAX_N, _MEMO_SIZE
 from .money import CoinPair
 from .superimpose import (
     SuperimpositionProblem, _mark_mask, _marked_letters, analyze, perfectly_superimposable,
@@ -47,17 +52,50 @@ def _positions(s: str, letter: str):
         i = s.find(letter, i + 1)
 
 
-def oracle_superimposable(u: Word, v: Word) -> OracleResult:
-    """Mark every shift of the longer word that two marks block; the rest are the witnesses.
+def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
+    """The marks of the fixed word laid on a circle of m bits, bit t as letter t.
 
-    The operands are ordered so the shifted word is the longer one, of length
-    m.  The moving word repeats every m letters, so a mark of the fixed word
-    at time t meets the moving word rotated by k exactly when the moving word
+    The moving word repeats every m letters, so a mark of the fixed word at
+    time t meets the moving word rotated by k exactly when the moving word
     has a mark at (t + k) mod m.  The lcm(n, m)/n copies of the fixed word
     that make up one common period are therefore laid on a circle of m bits,
     copy j rotated by j*n mod m, by the binary method: a mask of h copies is
     doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
     it by n and ORs in one more copy.
+    """
+    n, full = len(symbols), (1 << m) - 1
+    one = _mark_mask(symbols, mark, filler)
+
+    def rotate(mask: int, k: int) -> int:
+        return (mask << k | mask >> m - k) & full
+
+    fixed, have = one, 1
+    for bit in bin(lcm(n, m) // n)[3:]:
+        fixed |= rotate(fixed, have * n % m)
+        have *= 2
+        if bit == "1":
+            fixed = rotate(fixed, n) | one
+            have += 1
+    return f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
+
+
+# A sweep meets each short word once per partner of the same length, so the
+# fixed side of a pair whose longer word has at most _MEMO_MAX_N letters is
+# memoised, in at most _MEMO_SIZE entries (the bounds of the word memo).  The
+# key is the word's str, whose hash is cached, not the Word, whose hash is
+# rebuilt from its fields on every call.
+_cached_fixed_side = lru_cache(maxsize=_MEMO_SIZE)(_fixed_side)
+
+
+def oracle_superimposable(u: Word, v: Word) -> OracleResult:
+    """Mark every shift of the longer word that two marks block; the rest are the witnesses.
+
+    The operands are ordered so the shifted word is the longer one, of length
+    m, and the marks of the fixed word are laid on a circle of m bits, one
+    common period folded onto it (see `_fixed_side`).  When m is at most 1024
+    that fold comes from a bounded memo, keyed by the fixed word's letters,
+    its mark, the filler and m, so a word met again with partners of one
+    length is parsed and folded once.
 
     Shift k is blocked iff some fixed mark t and some moving mark s have
     s = t + k (mod m), so a blocked-shift mask gets bit (s - t) mod m for
@@ -73,35 +111,25 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     only after every mark on the walked side has been tried.  The witnesses
     are the free shifts, in increasing order.
 
-    The fold costs O(log(m / gcd(n, m))) rotations.  The walk costs at most
-    min(F, M) shifts for F fixed and M moving marks, fewer when it stops;
-    walking the denser side instead could take m where one suffices.  Each
-    is O(m) bit operations, and the masks and the strings they are read
-    from take O(n + m) memory.
+    The fold costs O(log(m / gcd(n, m))) rotations, none on a memo hit.  The
+    walk costs at most min(F, M) shifts for F fixed and M moving marks, fewer
+    when it stops; walking the denser side instead could take m where one
+    suffices.  Each is O(m) bit operations, and the masks and the strings
+    they are read from take O(n + m) memory.
     """
     if len(u) == 0 or len(v) == 0:
         raise ValueError("superimposition needs nonempty words")
     mark_u, mark_v, filler = _marked_letters(u, v)
-    n, m = len(u), len(v)
-    if n > m:
-        u, v, mark_u, mark_v, n, m = v, u, mark_v, mark_u, m, n
-    one, full = _mark_mask(u, mark_u, filler), (1 << m) - 1
-
-    def rotate(mask: int, k: int) -> int:
-        return (mask << k | mask >> m - k) & full
-
-    fixed, have = one, 1
-    for bit in bin(lcm(n, m) // n)[3:]:
-        fixed |= rotate(fixed, have * n % m)
-        have *= 2
-        if bit == "1":
-            fixed = rotate(fixed, n) | one
-            have += 1
-    fixed_bits = f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
-    if fixed.bit_count() <= v.symbols.count(mark_v):
-        source, walked, letter = _mark_mask(v, mark_v, filler), fixed_bits, "1"
+    if len(u) > len(v):
+        u, v, mark_u, mark_v = v, u, mark_v, mark_u
+    m = len(v)
+    fold = _cached_fixed_side if m <= _MEMO_MAX_N else _fixed_side
+    fixed_bits = fold(u.symbols, mark_u, filler, m)
+    if fixed_bits.count("1") <= v.symbols.count(mark_v):
+        source, walked, letter = _mark_mask(v.symbols, mark_v, filler), fixed_bits, "1"
     else:
         source, walked, letter = int(fixed_bits, 2), v.symbols[::-1], mark_v
+    full = (1 << m) - 1
     source |= source << m
     blocked = 0
     for i in _positions(walked, letter):

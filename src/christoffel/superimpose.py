@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from .christoffel import _word, modular_inverse, windowed_bezout
-from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
+from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, conjugate, reverse
 
 __all__ = (
     "BezoutSolution", "IntervalFamily", "SuperimpositionProblem", "SuperimpositionReport",
@@ -205,9 +205,9 @@ def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
     raise ValueError(f"alphabets {lu} and {lv} must share exactly the filler")
 
 
-def _mark_mask(w: Word, mark: str, filler: str) -> int:
-    """Bit i is set iff letter i of `w` is `mark`."""
-    return int(w.symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
+def _mark_mask(symbols: str, mark: str, filler: str) -> int:
+    """Bit i is set iff letter i of `symbols` is `mark`."""
+    return int(symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
 def perfectly_superimposable(u: Word, v: Word) -> bool:
@@ -238,7 +238,7 @@ def perfectly_superimposable(u: Word, v: Word) -> bool:
             mask = mask & ((1 << width) - 1) | mask >> width
         return mask
 
-    return not fold(_mark_mask(u, mark_u, filler), n) & fold(_mark_mask(v, mark_v, filler), m)
+    return not fold(_mark_mask(u.symbols, mark_u, filler), n) & fold(_mark_mask(v.symbols, mark_v, filler), m)
 
 
 def merge_superimposition(u: Word, v: Word) -> Word:
@@ -265,8 +265,11 @@ def merge_superimposition(u: Word, v: Word) -> Word:
     i = merged.find(3)
     if i >= 0:
         raise ValueError(f"marked letters collide at position {i}")
+    # The three letters are distinct single characters, checked with the two
+    # alphabets, and every byte left is 0, 1 or 2, so nothing is checked again.
     symbols = merged.decode("latin-1").translate({0: filler, 1: mark_u, 2: mark_v})
-    return Word(symbols, OrderedAlphabet((mark_u, mark_v, filler)))
+    return _prechecked(Word, symbols=symbols,
+                       alphabet=_prechecked(OrderedAlphabet, letters=(mark_u, mark_v, filler)))
 
 
 def collapse_merge(w: Word, filler: str) -> Word:

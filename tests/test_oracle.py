@@ -23,6 +23,8 @@ from christoffel import (
     oracle_superimposable,
     perfectly_superimposable,
 )
+from christoffel.christoffel import _MEMO_MAX_N, _MEMO_SIZE
+from christoffel.superimpose import _marked_letters
 
 from conftest import brute_superimposable, cw, words_upto
 
@@ -182,7 +184,80 @@ def test_oracle_memory_is_linear_in_the_lengths():
     assert peak < 256 * 1024
 
 
-_bits = st.lists(st.booleans(), min_size=1, max_size=60)
+def _memo_key(u, v):
+    """The key under which the oracle memoises the fixed (shorter) side of (u, v)."""
+    mark_u, mark_v, filler = _marked_letters(u, v)
+    if len(u) > len(v):
+        u, v, mark_u = v, u, mark_v
+    return u.symbols, mark_u, filler, len(v)
+
+
+def test_oracle_answers_do_not_depend_on_the_memo():
+    # Every Christoffel word, powers too, against every conjugate of every
+    # Christoffel word with n, m <= 16: from an empty memo against the literal
+    # reference, then again from a full memo, call for call the same results.
+    memo = oracle_module._cached_fixed_side
+    firsts = [cw(n, a) for n in range(1, 17) for a in range(1, n + 1)]
+    seconds = [conjugate(cw(m, b, "b", "x"), k) for m in range(1, 17) for b in range(1, m + 1) for k in range(m)]
+    memo.cache_clear()
+    cold, checked = [], set()
+    for u in firsts:
+        for v in seconds:
+            result = oracle_superimposable(u, v)
+            assert _as_tuple(result) == brute_superimposable(u, v), (u, v)
+            cold.append(result)
+            key = _memo_key(u, v)
+            if key not in checked:
+                # The entry the call just used, read back as a hit, is what
+                # the undecorated helper computes.
+                hits = memo.cache_info().hits
+                assert memo(*key) == memo.__wrapped__(*key), key
+                assert memo.cache_info().hits == hits + 1
+                checked.add(key)
+    assert len(checked) > memo.cache_info().maxsize  # entries were evicted along the way
+    warm = iter(cold)
+    for u in firsts:
+        for v in seconds:
+            assert oracle_superimposable(u, v) == next(warm), (u, v)
+
+
+def test_oracle_memo_keeps_to_its_bounds():
+    memo = oracle_module._cached_fixed_side
+    assert memo.cache_info().maxsize == _MEMO_SIZE
+    at_limit = cw(_MEMO_MAX_N, 5, "b", "x")
+    oracle_superimposable(cw(7, 3), at_limit)
+    before = memo.cache_info()
+    oracle_superimposable(at_limit, cw(7, 3))
+    assert memo.cache_info().hits == before.hits + 1
+    # A longer word of _MEMO_MAX_N + 1 letters, on either side, with an
+    # equal or a short partner, never reaches the memo.
+    long_u, long_v = cw(_MEMO_MAX_N + 1, 7), cw(_MEMO_MAX_N + 1, 5, "b", "x")
+    before = memo.cache_info()
+    for pair in ((long_u, long_v), (long_v, long_u), (cw(7, 3), long_v), (long_v, cw(7, 3))):
+        oracle_superimposable(*pair)
+        oracle_superimposable(*pair)
+    assert memo.cache_info() == before
+
+
+def test_oracle_memo_memory_is_bounded():
+    # A full memo at the length limit: each entry keeps the fixed word's
+    # letters and its folded bit string, at most _MEMO_MAX_N letters each.
+    memo = oracle_module._cached_fixed_side
+    fixed, moving = cw(_MEMO_MAX_N - 1, 301), cw(_MEMO_MAX_N, 299, "b", "x")
+    memo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(_MEMO_SIZE + 8):
+            oracle_superimposable(conjugate(fixed, k), moving)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert memo.cache_info().currsize == _MEMO_SIZE
+    assert retained <= 1024 * 1024
+
+
+_bits =st.lists(st.booleans(), min_size=1, max_size=60)
 
 
 @given(st.permutations("012a"), _bits, _bits)
