@@ -13,7 +13,7 @@ from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _
 __all__ = (
     "CayleyGraph", "ChristoffelSpec", "LatticePath", "PositionSet", "Step", "cayley_graph",
     "christoffel_path", "christoffel_word", "letter_positions", "modular_complement",
-    "modular_inverse", "windowed_bezout",
+    "modular_inverse",
 )
 
 
@@ -23,16 +23,6 @@ def modular_inverse(a: int, n: int) -> int:
         return pow(a, -1, n)
     except ValueError:
         raise ValueError(f"{a} has no inverse modulo {n} (gcd {gcd(a, n)})") from None
-
-
-def windowed_bezout(a: int, b: int, rhs: int) -> tuple[int, int]:
-    """The unique solution (x, y) of a*x + b*y = rhs with 1 <= y <= a, for coprime a, b.
-
-    `superimpose._bezout` is its one caller: it holds the decision equation
-    behind superimposition, the mirror criterion and the Beatty criterion.
-    """
-    y = (rhs * modular_inverse(b, a)) % a or a
-    return (rhs - y * b) // a, y
 
 
 def modular_complement(alpha: int, n: int) -> int:

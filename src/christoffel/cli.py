@@ -29,7 +29,7 @@ from .superimpose import (
     analyze,
     canonical_witness,
     collapse_merge,
-    interval_family,
+    interval_offsets,
     merge_superimposition,
     perfectly_superimposable,
     reversal_superimposition_criterion,
@@ -158,7 +158,7 @@ def _cmd_superimpose(args):
         lines.append(f"canonical shift: {report.canonical_shift} (reversed second word)" if ok
                      else "canonical shift: none")
     if args.offsets:
-        offsets = list(interval_family(problem).offsets)
+        offsets = list(interval_offsets(problem))
         payload["offsets"] = offsets
         lines.append("offsets: " + " ".join(str(v) for v in offsets))
     if args.mirror:
@@ -300,6 +300,9 @@ def _cmd_beatty(args):
 def _cmd_oracle_check(args):
     checked = 0
     disagreements = []
+    for flag, bound in (("--max-n", args.max_n), ("--unequal-max", args.unequal_max)):
+        if bound < 0:
+            raise CommandError(f"{flag} must not be negative, got {bound}")
     sizes = [(n, n) for n in range(1, args.max_n + 1)]
     if args.unequal_max:
         sizes += [(n, m) for n in range(1, args.unequal_max + 1)

@@ -117,12 +117,12 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     suffices.  Each is O(m) bit operations, and the masks and the strings
     they are read from take O(n + m) memory.
     """
-    if len(u) == 0 or len(v) == 0:
+    n, m = len(u.symbols), len(v.symbols)
+    if n == 0 or m == 0:
         raise ValueError("superimposition needs nonempty words")
     mark_u, mark_v, filler = _marked_letters(u, v)
-    if len(u) > len(v):
-        u, v, mark_u, mark_v = v, u, mark_v, mark_u
-    m = len(v)
+    if n > m:
+        u, v, mark_u, mark_v, m = v, u, mark_v, mark_u, n
     fold = _cached_fixed_side if m <= _MEMO_MAX_N else _fixed_side
     fixed_bits = fold(u.symbols, mark_u, filler, m)
     if fixed_bits.count("1") <= v.symbols.count(mark_v):

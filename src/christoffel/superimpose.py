@@ -2,24 +2,24 @@
 
 Two periodic words over {mark, filler} alphabets superimpose when some cyclic
 shift makes their marked-letter position sets disjoint as subsets of the
-integers.  The fast paths here decide that question, count the admissible
-shifts, and produce one shift that always works; the oracle module re-derives
-everything by exhaustion.
+integers.  The fast paths here solve one windowed Bezout equation (`_bezout`)
+to decide that question, count the admissible shifts, give the offsets of the
+blocked-shift intervals behind the count, and produce one shift that always
+works; the oracle module re-derives everything by exhaustion.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .christoffel import _word, modular_inverse, windowed_bezout
+from .christoffel import _word, modular_inverse
 from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, conjugate, reverse
 
 __all__ = (
-    "BezoutSolution", "IntervalFamily", "SuperimpositionProblem", "SuperimpositionReport",
-    "analyze", "canonical_shift", "canonical_shift_lifts", "canonical_witness", "collapse_merge",
-    "count_superimpositions", "interval_family", "interval_offset", "is_superimposable",
-    "merge_superimposition", "perfectly_superimposable", "reversal_superimposition_criterion",
-    "solve_bezout",
+    "BezoutSolution", "SuperimpositionProblem", "SuperimpositionReport", "analyze", "canonical_shift",
+    "canonical_witness", "collapse_merge", "count_superimpositions", "interval_offsets",
+    "is_superimposable", "merge_superimposition", "perfectly_superimposable",
+    "reversal_superimposition_criterion", "solve_bezout",
 )
 
 
@@ -84,8 +84,10 @@ class BezoutSolution(_Value):
 
 
 def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
-    """Solve x*alpha + y*beta = p - 2*alpha*beta*(q-1), 1 <= y <= alpha; each criterion asks for x >= 1."""
-    return windowed_bezout(alpha, beta, p - 2 * alpha * beta * (q - 1))
+    """The unique (x, y) of x*alpha + y*beta = p - 2*alpha*beta*(q-1) with 1 <= y <= alpha; criteria ask x >= 1."""
+    rhs = p - 2 * alpha * beta * (q - 1)
+    y = (rhs * modular_inverse(beta, alpha)) % alpha or alpha
+    return (rhs - y * beta) // alpha, y
 
 
 def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
@@ -134,40 +136,19 @@ def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
     return _shift(problem, problem.p), True
 
 
-def canonical_shift_lifts(problem: SuperimpositionProblem) -> tuple[int, ...]:
-    """All m/p shifts of the reversed second word obtained by stepping the canonical one by p."""
-    shift, _ = canonical_shift(problem)
-    p, m = problem.p, problem.m
-    return tuple((shift + i * p) % m for i in range(m // p))
+def interval_offsets(problem: SuperimpositionProblem) -> tuple[int, ...]:
+    """Offsets r*(x + (2q-1)*beta) - floor(z*r/alpha)*beta, r < alpha, of the blocked-shift intervals.
 
-
-def interval_offset(r: int, sol: BezoutSolution, q: int, alpha: int, beta: int) -> int:
-    """Offset of the r-th difference interval: r*(x + (2q-1)*beta) - floor(z*r/alpha)*beta."""
-    if not 0 <= r < alpha:
-        raise ValueError(f"interval index must lie in [0, {alpha}), got {r}")
-    return r * (sol.x + (2 * q - 1) * beta) - (sol.z * r // alpha) * beta
-
-
-class IntervalFamily(_Value):
-    """Diagnostic view of the count: per-index offsets and the shifted intervals.
-
-    Interval r is [-(q-1)*beta, q*beta - 1] translated left by offsets[r];
-    shifts avoiding every interval modulo n are exactly the admissible ones.
+    Interval r is [-(q-1)*beta, q*beta - 1] moved left by offset r; x and z
+    come from one solve.  Checked on every problem with n, m <= 25: the
+    residues mod p that no interval covers, times max(n, m)/p, number
+    `count_superimpositions`, and k -> e*k mod p, e = -(q*beta)^-1 mod p
+    (negated when n > m), lifted by j*p for j < max(n, m)/p, maps them onto
+    the oracle's witnesses.
     """
-
-    _fields = ("offsets", "intervals")
-
-    def __init__(self, offsets: tuple[int, ...], intervals: tuple[tuple[int, int], ...]):
-        self.__dict__.update(offsets=offsets, intervals=intervals)
-
-
-def interval_family(problem: SuperimpositionProblem) -> IntervalFamily:
-    """The family of blocked-shift intervals underlying the count, at length p."""
-    sol = solve_bezout(problem)
     q, a, b = problem.q, problem.alpha, problem.beta
-    offsets = tuple(interval_offset(r, sol, q, a, b) for r in range(a))
-    intervals = tuple((-(q - 1) * b - off, q * b - 1 - off) for off in offsets)
-    return IntervalFamily(offsets, intervals)
+    x, y = _bezout(problem.p, q, a, b)
+    return tuple(r * (x + (2 * q - 1) * b) - ((a - y) * r // a) * b for r in range(a))
 
 
 class SuperimpositionReport(_Value):

@@ -35,7 +35,7 @@ from christoffel import (
     Direction,
     fraenkel_word,
     frobenius_number,
-    interval_offset,
+    interval_offsets,
     is_circularly_balanced,
     is_superimposable,
     letter_frequencies,
@@ -330,7 +330,7 @@ def test_criterion_10_structural_invariants():
                 problem = SuperimpositionProblem.from_letter_counts(n, a_count, n, b_count)
                 sol = solve_bezout(problem)
                 q, a, b = problem.q, problem.alpha, problem.beta
-                offsets = [interval_offset(r, sol, q, a, b) for r in range(a)]
+                offsets = interval_offsets(problem)
                 assert offsets[0] == 0
                 if sol.y == a:
                     assert offsets[-1] == n - sol.x - 2 * b * (q - 1) - b

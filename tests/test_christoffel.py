@@ -20,7 +20,6 @@ from christoffel import (
     modular_complement,
     modular_inverse,
     reverse,
-    windowed_bezout,
 )
 from christoffel.christoffel import _MEMO_MAX_N, _cached_word
 from christoffel.words import _christoffel_symbols
@@ -55,15 +54,6 @@ def test_modular_inverse_error_names_the_gcd():
     with pytest.raises(ValueError, match=r"6 has no inverse modulo 9 \(gcd 3\)"):
         modular_inverse(6, 9)
     assert modular_inverse(5, 1) == 0
-
-
-def test_windowed_bezout_is_the_unique_windowed_solution():
-    for a in range(1, 16):
-        for b in (b for b in range(1, 16) if gcd(a, b) == 1):
-            for rhs in range(-60, 60):
-                x, y = windowed_bezout(a, b, rhs)
-                assert a * x + b * y == rhs
-                assert 1 <= y <= a
 
 
 def test_spec_validation():

@@ -21,7 +21,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 # Public functions that no README command calls. The library tests cover them,
 # and test_cli_count_is_count_superimpositions ties the count to `superimpose --count`.
-LIBRARY_ONLY = {"alphabet", "canonical_shift_lifts", "count_superimpositions"}
+LIBRARY_ONLY = {"alphabet", "count_superimpositions", "solve_bezout"}
 
 
 def run_cli(capsys, *args):
@@ -383,6 +383,13 @@ def test_oracle_check(capsys):
     status, out, _ = run_cli(capsys, "oracle-check", "--max-n", "12")
     assert status == 0
     assert "0 disagreements" in out
+
+
+def test_oracle_check_rejects_negative_bounds(capsys):
+    for argv, message in [(("--max-n", "-3"), "--max-n must not be negative, got -3"),
+                          (("--max-n", "2", "--unequal-max", "-1"), "--unequal-max must not be negative, got -1")]:
+        assert run_cli(capsys, "oracle-check", *argv) == (3, "", f"error: {message}\n")
+    assert run_cli(capsys, "oracle-check", "--max-n", "0") == (0, "checked 0 instances: 0 disagreements\n", "")
 
 
 def test_oracle_check_unequal(capsys):

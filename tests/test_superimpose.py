@@ -16,15 +16,13 @@ from christoffel import (
     alphabet,
     analyze,
     canonical_shift,
-    canonical_shift_lifts,
     canonical_witness,
     christoffel_word,
     collapse_merge,
     conjugate,
     count_superimpositions,
     crosscheck,
-    interval_family,
-    interval_offset,
+    interval_offsets,
     is_superimposable,
     make_word,
     merge_superimposition,
@@ -34,7 +32,7 @@ from christoffel import (
     reverse,
     solve_bezout,
 )
-from christoffel.superimpose import _marked_letters
+from christoffel.superimpose import _bezout, _marked_letters
 
 from conftest import coprimes, cw, scan_positions
 
@@ -316,27 +314,44 @@ def test_reversal_criterion_coincides_with_equal_length_decision():
 
 
 def test_interval_offset_examples():
-    sol = BezoutSolution(1, 3, 1)
-    assert interval_offset(0, sol, 1, 4, 3) == 0
-    assert [interval_offset(r, sol, 1, 4, 3) for r in (1, 2, 3)] == [4, 8, 12]
-    with pytest.raises(ValueError):
-        interval_offset(4, sol, 1, 4, 3)
+    assert interval_offsets(SuperimpositionProblem(13, 13, 1, 4, 3)) == (0, 4, 8, 12)
 
 
 def test_interval_offset_unit_alpha_hits_shifted_endpoint():
     problem = SuperimpositionProblem(13, 13, 1, 1, 3)
     sol = solve_bezout(problem)
     assert sol.y == 1 and sol.x == 10
-    assert interval_offset(0, sol, 1, 1, 3) == 13 - sol.x - 3
+    assert interval_offsets(problem) == (13 - sol.x - 3,)
 
 
-def test_interval_family_cardinality():
-    for problem in same_length_problems(40):
-        family = interval_family(problem)
-        q, b = problem.q, problem.beta
-        assert len(family.intervals) == problem.alpha
-        for lo, hi in family.intervals:
-            assert hi - lo + 1 == b * (2 * q - 1)
+def test_free_residues_count_and_map_onto_oracle_witnesses():
+    # Interval r is [-(q-1)*beta, q*beta - 1] moved left by offset r.  The
+    # residues mod p it leaves free, stepped by e = -(q*beta)^-1 mod p
+    # (negated when n > m) and lifted by multiples of p, are the witnesses.
+    for n in range(1, 26):
+        for m in range(1, 26):
+            p, length = gcd(n, m), max(n, m)
+            for a_count in coprimes(n):
+                for b_count in coprimes(m):
+                    problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
+                    q, b = problem.q, problem.beta
+                    blocked = {t % p for off in interval_offsets(problem)
+                               for t in range(-(q - 1) * b - off, q * b - off)}
+                    free = [k for k in range(p) if k not in blocked]
+                    assert len(free) * (length // p) == count_superimpositions(problem), problem
+                    e = -pow(q * b, -1, p) if n <= m else pow(q * b, -1, p)
+                    lifted = {e * k % p + j * p for k in free for j in range(length // p)}
+                    witnesses = oracle_superimposable(problem.first_word(), problem.second_word()).witnesses
+                    assert lifted == set(witnesses), problem
+
+
+def test_bezout_is_the_unique_windowed_solution():
+    for a in range(1, 16):
+        for b in (b for b in range(1, 16) if gcd(a, b) == 1):
+            for rhs in range(-60, 60):
+                x, y = _bezout(rhs, 1, a, b)
+                assert a * x + b * y == rhs
+                assert 1 <= y <= a
 
 
 def test_superimposable_needs_room_at_gcd_length():
@@ -352,9 +367,8 @@ def test_canonical_shift_and_lifts_validate():
         u, witness = canonical_witness(problem)
         assert perfectly_superimposable(u, witness)
         v = problem.second_word()
-        lifts = canonical_shift_lifts(problem)
-        assert len(lifts) == problem.m // problem.p
-        for shift in lifts:
+        base, p, m = canonical_shift(problem)[0], problem.p, problem.m
+        for shift in ((base + i * p) % m for i in range(m // p)):
             assert perfectly_superimposable(u, conjugate(reverse(v), shift)), (problem, shift)
 
 
@@ -372,7 +386,8 @@ def test_every_lift_is_an_oracle_witness():
                     if not is_superimposable(problem):
                         continue
                     witnesses = set(oracle_superimposable(cw(n, a_count), v).witnesses)
-                    for s in canonical_shift_lifts(problem):
+                    base, p = canonical_shift(problem)[0], problem.p
+                    for s in ((base + i * p) % m for i in range(m // p)):
                         assert (s - c) % m in witnesses, (n, a_count, m, b_count, s)
 
 
@@ -466,13 +481,13 @@ NOT_SUPERIMPOSABLE = SuperimpositionProblem(3, 4, 1, 1, 1)
 ])
 def test_each_call_solves_once(monkeypatch, call, problem):
     calls = []
-    real = superimpose_module.windowed_bezout
+    real = superimpose_module._bezout
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(superimpose_module, "windowed_bezout", counting)
+    monkeypatch.setattr(superimpose_module, "_bezout", counting)
     call(problem)
     assert len(calls) == 1
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from christoffel import (BeattyOracleResult, BeattySpec, BezoutSolution, CayleyGraph, ChristoffelSpec,
-                         CoinPair, DecimationSpec, IntervalFamily, LatticePath, OracleResult,
+                         CoinPair, DecimationSpec, LatticePath, OracleResult,
                          OrderedAlphabet, PositionSet, QuadrantBoundary, Step, SuperimpositionProblem,
                          SuperimpositionReport, Word)
 from christoffel.words import _prechecked
@@ -39,8 +39,6 @@ VALUES = [
      "SuperimpositionProblem(n=13, m=13, q=1, alpha=4, beta=3)"),
     (BezoutSolution, (1, 2, 2), (1, 3, 1),
      "BezoutSolution(x=1, y=2, z=2)"),
-    (IntervalFamily, ((0, 7), ((0, 2), (-7, -5))), ((0, 6), ((0, 2), (-6, -4))),
-     "IntervalFamily(offsets=(0, 7), intervals=((0, 2), (-7, -5)))"),
     (SuperimpositionReport, (True, BezoutSolution(1, 2, 2), 2, 7), (True, BezoutSolution(1, 2, 2), 2, None),
      "SuperimpositionReport(superimposable=True, bezout=BezoutSolution(x=1, y=2, z=2), count=2,"
      " canonical_shift=7)"),
