@@ -7,6 +7,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
+from numbers import Number
 
 from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _prechecked, _single_chars
 
@@ -19,6 +20,8 @@ __all__ = (
 
 def modular_inverse(a: int, n: int) -> int:
     """The inverse of a modulo n, for coprime inputs."""
+    if not type(a) is type(n) is int:
+        _ints(("a", "n"), a, n)
     try:
         return pow(a, -1, n)
     except ValueError:
@@ -95,7 +98,13 @@ class PositionSet(_Value):
         self.__dict__.update(modulus=modulus, residues=residues)
 
     def __contains__(self, r):
-        r %= self.modulus
+        """Whether r is a member modulo `modulus`; a value that is not a number never is."""
+        if not isinstance(r, Number):  # a str would be %-formatted
+            return False
+        try:
+            r %= self.modulus
+        except TypeError:  # a number without %, such as a complex
+            return False
         i = bisect_left(self.residues, r)
         return i < len(self.residues) and self.residues[i] == r
 

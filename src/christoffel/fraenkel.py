@@ -71,7 +71,8 @@ def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     One period of it marks a conjugate of C(p, q): the answer is the superimposition
     decision at lengths p1, p2 and marked counts q1, q2 (False for slopes <= 1).
     """
-    _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
+    if not type(p1) is type(q1) is type(p2) is type(q2) is int:
+        _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
     if min(p1, q1, p2, q2) < 1:
         raise ValueError("slope parameters must be positive")
     g1, g2 = gcd(p1, q1), gcd(p2, q2)

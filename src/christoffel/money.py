@@ -19,7 +19,8 @@ class CoinPair(_Value):
     _fields = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        _ints(("a", "b"), a, b)
+        if not type(a) is type(b) is int:
+            _ints(("a", "b"), a, b)
         if a < 1 or b < 1:
             raise ValueError("denominations must be positive")
         if gcd(a, b) != 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .christoffel import _word, modular_inverse
+from .christoffel import _word
 from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, conjugate, reverse
 
 __all__ = (
@@ -34,7 +34,8 @@ class SuperimpositionProblem(_Value):
     _fields = ("n", "m", "q", "alpha", "beta")
 
     def __init__(self, n: int, m: int, q: int, alpha: int, beta: int):
-        _ints(self._fields, n, m, q, alpha, beta)
+        if not type(n) is type(m) is type(q) is type(alpha) is type(beta) is int:
+            _ints(self._fields, n, m, q, alpha, beta)
         if min(n, m, q, alpha, beta) < 1:
             name = next(name for name, value in zip(self._fields, (n, m, q, alpha, beta))
                         if value < 1)
@@ -55,7 +56,8 @@ class SuperimpositionProblem(_Value):
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
         """Decompose raw marked-letter counts as q*alpha, q*beta with q = gcd."""
-        _ints(("a_count", "b_count"), a_count, b_count)
+        if not type(a_count) is type(b_count) is int:
+            _ints(("a_count", "b_count"), a_count, b_count)
         if a_count < 1 or b_count < 1:
             raise ValueError("marked-letter counts must be positive")
         q = gcd(a_count, b_count)
@@ -84,9 +86,17 @@ class BezoutSolution(_Value):
 
 
 def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
-    """The unique (x, y) of x*alpha + y*beta = p - 2*alpha*beta*(q-1) with 1 <= y <= alpha; criteria ask x >= 1."""
+    """The unique (x, y) of x*alpha + y*beta = p - 2*alpha*beta*(q-1) with 1 <= y <= alpha; criteria ask x >= 1.
+
+    beta is inverted modulo alpha with a bare pow, because every caller has
+    already proven gcd(alpha, beta) = 1: SuperimpositionProblem and
+    reversal_superimposition_criterion check it, and beatty_disjoint_exists
+    divides both marked counts by their gcd.  The same problem checks also
+    prove what `_shift` inverts: gcd(q*alpha, n) = 1 makes q coprime to n,
+    hence to p = gcd(n, m).
+    """
     rhs = p - 2 * alpha * beta * (q - 1)
-    y = (rhs * modular_inverse(beta, alpha)) % alpha or alpha
+    y = (rhs * pow(beta, -1, alpha)) % alpha or alpha
     return (rhs - y * beta) // alpha, y
 
 
@@ -110,7 +120,7 @@ def _count(problem: SuperimpositionProblem, p: int, x: int, y: int) -> int:
 
 
 def _shift(problem: SuperimpositionProblem, p: int) -> int:
-    return (1 - modular_inverse(problem.q, p)) % problem.m
+    return (1 - pow(problem.q, -1, p)) % problem.m  # q is coprime to p: see _bezout
 
 
 def count_superimpositions(problem: SuperimpositionProblem) -> int:
@@ -266,7 +276,8 @@ def reversal_superimposition_criterion(n: int, alpha: int, beta: int) -> bool:
     Equivalent to the existence of positive integers x, y with
     alpha*x + beta*y = n.  Requires alpha and beta coprime.
     """
-    _ints(("n", "alpha", "beta"), n, alpha, beta)
+    if not type(n) is type(alpha) is type(beta) is int:
+        _ints(("n", "alpha", "beta"), n, alpha, beta)
     if n < 1:
         raise ValueError("length must be positive")
     if not (1 <= alpha <= n and 1 <= beta <= n):

@@ -16,6 +16,11 @@ def _ints(names, *values):
     """Raise TypeError naming the first of `values` whose type is not exactly int, bool included.
 
     Only a failure pairs `names` with `values`; a pass is one type test per value.
+    The hot entry points (SuperimpositionProblem and its from_letter_counts,
+    reversal_superimposition_criterion, beatty_disjoint_exists, CoinPair,
+    conjugate and modular_inverse) first test `type(a) is type(b) is ... is
+    int` in one chained expression and call this only after that test fails:
+    a valid call adds no frame, and a bad one still gets the message here.
     """
     for value in values:
         if type(value) is not int:
@@ -292,6 +297,8 @@ def conjugate(w: Word, k: int) -> Word:
 
     k is taken modulo len(w); negative k rotates the other way.
     """
+    if type(k) is not int:
+        _ints(("k",), k)
     n = len(w)
     if n == 0:
         if k != 0:

@@ -2,6 +2,8 @@ import re
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -243,6 +245,16 @@ def test_position_membership_matches_scan():
         for r in range(-2 * n, 2 * n):
             assert (r in positions) == any((r - p) % n == 0 for p in positions.residues), (n, alpha, r)
     assert 3 not in PositionSet(5, ())
+    positions = PositionSet(8, (0, 2, 5))  # C(8, 3)
+    # Floats equal to ints, and other numbers, are members modulo 8 like the ints.
+    for member in (2.0, 10.0, -3.0, 5 + 8 * 10**20, Fraction(21, 1), Decimal(16)):
+        assert member in positions, member
+    for other in (1.5, 3.0, float("nan"), float("inf"), Fraction(5, 2)):
+        assert other not in positions, other
+    # What is not a number is never a member, as in a range, and is not
+    # %-formatted or compared with the residues; a complex has no %.
+    for other in ("a", "%d", "%s", b"%d", None, (2,), [2], 2j):
+        assert other not in positions and other not in range(8), other
 
 
 def test_reversal_identity():

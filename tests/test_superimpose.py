@@ -1,6 +1,7 @@
 import tracemalloc
 from itertools import product
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -461,12 +462,59 @@ def test_analyze_report():
     assert not negative.superimposable
     assert negative.count == 0
     assert negative.canonical_shift is None
-    for problem in same_length_problems(12):
-        report = analyze(problem)
-        assert report.superimposable == is_superimposable(problem)
-        assert report.bezout == solve_bezout(problem)
-        assert report.count == count_superimpositions(problem)
-        assert report.canonical_shift == (canonical_shift(problem)[0] if report.superimposable else None)
+    for n, m in product(range(1, 21), repeat=2):
+        for a_count, b_count in product(coprimes(n), coprimes(m)):
+            _check_report(SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count))
+    # Planted problems at lengths only the closed forms reach, all three branches.
+    rng = Random(20100410)
+    longest = 0
+    for kind in range(3):
+        for problem, x, y in _planted_problems(rng, kind, 300):
+            report = _check_report(problem)
+            a, b = problem.alpha, problem.beta
+            assert (report.bezout.x, report.bezout.y) == (x, y), problem
+            base = 0 if x < 1 else x * y if x <= b else x * a + y * b - a * b
+            assert report.count == base * (max(problem.n, problem.m) // problem.p), problem
+            longest = max(longest, problem.n, problem.m)
+    assert longest > 10**12
+
+
+def _check_report(problem):
+    """analyze agrees with the four single calls, solves its equation and certifies its shift."""
+    report = analyze(problem)
+    q, a, b, p = problem.q, problem.alpha, problem.beta, problem.p
+    x, y, z = report.bezout.x, report.bezout.y, report.bezout.z
+    assert x * a + y * b == p - 2 * a * b * (q - 1) and 1 <= y <= a and z == a - y, problem
+    assert report.superimposable == is_superimposable(problem) == (x >= 1), problem
+    assert report.bezout == solve_bezout(problem), problem
+    assert report.count == count_superimpositions(problem), problem
+    if report.superimposable:
+        shift = report.canonical_shift
+        assert shift == canonical_shift(problem)[0] and 0 <= shift < problem.m, problem
+        assert q * (1 - shift) % p == 1 % p, problem
+    else:
+        assert report.canonical_shift is None and report.count == 0, problem
+    return report
+
+
+def _planted_problems(rng, kind, count):
+    """`count` problems whose windowed pair (x, y) is chosen before the lengths.
+
+    kind 0 plants x <= 0, kind 1 plants 1 <= x <= beta and kind 2 x > beta.
+    p = x*alpha + y*beta + 2*alpha*beta*(q-1), and the lengths are coprime
+    multiples of p, up to ~10^13.
+    """
+    while count:
+        a, b, q = rng.randint(1, 10**4), rng.randint(1, 10**4), rng.choice((1, rng.randint(2, 40)))
+        y = rng.randint(1, a)
+        x = (rng.randint(-2 * b, 0), rng.randint(1, b), rng.randint(b + 1, 4 * b))[kind]
+        p = x * a + y * b + 2 * a * b * (q - 1)
+        s, t = rng.randint(1, 1000), rng.randint(1, 1000)
+        n, m = p * s, p * t
+        if (p >= 1 and gcd(a, b) == gcd(s, t) == 1 and q * a <= n and q * b <= m
+                and gcd(q * a, n) == gcd(q * b, m) == 1):
+            count -= 1
+            yield SuperimpositionProblem(n, m, q, a, b), x, y
 
 
 SUPERIMPOSABLE = SuperimpositionProblem(13, 13, 1, 4, 3)

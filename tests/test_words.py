@@ -430,17 +430,31 @@ INT_ENTRY_POINTS = [
     (christoffel.oracle_beatty_disjoint, (13, 4, 13, 3), ("p1", "q1", "p2", "q2")),
     (lambda lo, hi: christoffel.beatty_slice(christoffel.BeattySpec(3, 2), lo, hi), (1, 4), ("lo", "hi")),
     (christoffel.christoffel_path, (2, 3), ("a", "b")),
+    (lambda k: conjugate(cw(8, 5), k), (3,), ("k",)),
+    (lambda k: conjugate(Word("", AX), k), (0,), ("k",)),
+    (christoffel.modular_inverse, (4, 13), ("a", "n")),
 ]
+
+
+class _Int(int):
+    """An int subclass: equal to its int, and still not an int to the checks."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
 
 
 def test_int_arguments_refuse_bools_floats_and_strs():
     for call, valid, names in INT_ENTRY_POINTS:
         call(*valid)
         for i, name in enumerate(names):
-            for bad in (True, float(valid[i]), str(valid[i])):
+            for bad in (True, float(valid[i]), str(valid[i]), _Int(valid[i])):
                 with pytest.raises(TypeError) as raised:
                     call(*valid[:i], bad, *valid[i + 1:])
                 assert str(raised.value) == f"{name} must be an int, got {bad!r}", (names, i, bad)
+        # Arguments all of one type that is not int: one of them is named.
+        with pytest.raises(TypeError) as raised:
+            call(*map(_Int, valid))
+        assert str(raised.value) in {f"{name} must be an int, got _Int({v})" for name, v in zip(names, valid)}
 
 
 def test_decimation_spec_takes_direction_values():
