@@ -19,9 +19,11 @@ __all__ = (
 
 
 def modular_inverse(a: int, n: int) -> int:
-    """The inverse of a modulo n, for coprime inputs."""
+    """The inverse of a modulo n, in [0, n), for coprime inputs and a positive modulus n."""
     if not type(a) is type(n) is int:
         _ints(("a", "n"), a, n)
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
     try:
         return pow(a, -1, n)
     except ValueError:
@@ -50,7 +52,7 @@ class ChristoffelSpec(_Value):
     C(n/r, alpha/r).  alpha = n is admitted as the degenerate word low**n.
     """
 
-    _fields = ("n", "alpha", "low", "high")
+    _fields = __slots__ = ("n", "alpha", "low", "high")
 
     def __init__(self, n: int, alpha: int, low: str = "a", high: str = "x"):
         _ints(("n", "alpha"), n, alpha)
@@ -59,7 +61,10 @@ class ChristoffelSpec(_Value):
         if not 1 <= alpha <= n:
             raise ValueError(f"need 1 <= alpha <= n, got alpha={alpha}, n={n}")
         _check_letters(low, high)
-        self.__dict__.update(n=n, alpha=alpha, low=low, high=high)
+        _set_spec_n(self, n)
+        _set_alpha(self, alpha)
+        _set_low(self, low)
+        _set_high(self, high)
 
     @property
     def beta(self) -> int:
@@ -70,6 +75,9 @@ class ChristoffelSpec(_Value):
         return OrderedAlphabet((self.low, self.high))
 
 
+_set_spec_n, _set_alpha, _set_low, _set_high = ChristoffelSpec._setters
+
+
 class PositionSet(_Value):
     """A set of residues modulo `modulus`, kept sorted.
 
@@ -77,7 +85,7 @@ class PositionSet(_Value):
     1, or residues that repeat or leave [0, modulus), raise ValueError.
     """
 
-    _fields = ("modulus", "residues")
+    _fields = __slots__ = ("modulus", "residues")
 
     def __init__(self, modulus: int, residues: tuple[int, ...]):
         _ints(("modulus",), modulus)
@@ -95,7 +103,8 @@ class PositionSet(_Value):
             raise ValueError("residues must be distinct")
         if residues and not 0 <= residues[0] <= residues[-1] < modulus:
             raise ValueError(f"residues must lie in [0, {modulus})")
-        self.__dict__.update(modulus=modulus, residues=residues)
+        _set_modulus(self, modulus)
+        _set_residues(self, residues)
 
     def __contains__(self, r):
         """Whether r is a member modulo `modulus`; a value that is not a number never is."""
@@ -115,6 +124,9 @@ class PositionSet(_Value):
         return len(self.residues)
 
 
+_set_modulus, _set_residues = PositionSet._setters
+
+
 # Sweeps over short words meet the same C(n, alpha) once per partner, so
 # short builds are memoised by (n, alpha, low, high); long words are never
 # kept alive.  The memo holds at most _MEMO_SIZE * _MEMO_MAX_N symbols
@@ -127,8 +139,8 @@ _MEMO_SIZE = 256
 def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
     _check_letters(low, high)  # before the letters are concatenated
     # The images of low and high are concatenations of low and high only.
-    return _prechecked(Word, symbols=_christoffel_symbols(n, alpha, low, high),
-                       alphabet=_prechecked(OrderedAlphabet, letters=(low, high)))
+    return _prechecked(Word, _christoffel_symbols(n, alpha, low, high),
+                       _prechecked(OrderedAlphabet, (low, high)))
 
 
 _cached_word = lru_cache(maxsize=_MEMO_SIZE)(_build_word)
@@ -188,16 +200,17 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
         gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
         residues = tuple(accumulate(gaps[:-1], initial=0))
     # Either way the residues strictly increase within [0, n).
-    return _prechecked(PositionSet, modulus=n, residues=residues)
+    return _prechecked(PositionSet, n, residues)
 
 
 class CayleyGraph(_Value):
     """The labelled cycle on residues mod n stepping by beta, walked from 0."""
 
-    _fields = ("n", "edges")
+    _fields = __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int, str], ...]):
-        self.__dict__.update(n=n, edges=edges)
+        _set_graph_n(self, n)
+        _set_edges(self, edges)
 
     @property
     def traversal(self) -> tuple[int, ...]:
@@ -208,6 +221,9 @@ class CayleyGraph(_Value):
     def labels(self) -> str:
         """Edge labels in walk order; they spell the Christoffel word."""
         return "".join(label for _, _, label in self.edges)
+
+
+_set_graph_n, _set_edges = CayleyGraph._setters
 
 
 def cayley_graph(spec: ChristoffelSpec) -> CayleyGraph:
@@ -232,10 +248,11 @@ class Step(Enum):
 class LatticePath(_Value):
     """A monotone lattice path of unit Right/Up steps from the origin."""
 
-    _fields = ("steps", "endpoint")
+    _fields = __slots__ = ("steps", "endpoint")
 
     def __init__(self, steps: tuple[Step, ...], endpoint: tuple[int, int]):
-        self.__dict__.update(steps=steps, endpoint=endpoint)
+        _set_steps(self, steps)
+        _set_endpoint(self, endpoint)
 
     def encode(self, low: str = "a", high: str = "x") -> Word:
         """Spell the path, Right as the low letter and Up as the high one."""
@@ -243,6 +260,9 @@ class LatticePath(_Value):
             "".join(low if s is Step.RIGHT else high for s in self.steps),
             OrderedAlphabet((low, high)),
         )
+
+
+_set_steps, _set_endpoint = LatticePath._setters
 
 
 def christoffel_path(a: int, b: int) -> LatticePath:

@@ -29,7 +29,7 @@ def fraenkel_word(k: int) -> Word:
     for i in range(1, k):
         word = word + _INDEX_LETTERS[i] + word
     # Built from the first k index letters only.
-    return _prechecked(Word, symbols=word, alphabet=OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
+    return _prechecked(Word, word, OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
 
 
 def letter_frequencies(w: Word) -> dict[str, int]:
@@ -40,7 +40,7 @@ def letter_frequencies(w: Word) -> dict[str, int]:
 class BeattySpec(_Value):
     """A rational Beatty sequence floor(slope*i + offset), slope = numerator/denominator."""
 
-    _fields = ("numerator", "denominator", "offset")
+    _fields = __slots__ = ("numerator", "denominator", "offset")
 
     def __init__(self, numerator: int, denominator: int, offset: Fraction = Fraction(0)):
         _ints(("numerator", "denominator"), numerator, denominator)
@@ -48,11 +48,16 @@ class BeattySpec(_Value):
             raise TypeError(f"offset must be exact; pass a Fraction or a string, got {offset!r}")
         if denominator < 1:
             raise ValueError("denominator must be positive")
-        self.__dict__.update(numerator=numerator, denominator=denominator, offset=Fraction(offset))
+        _set_numerator(self, numerator)
+        _set_denominator(self, denominator)
+        _set_offset(self, Fraction(offset))
 
     @property
     def slope(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
+
+
+_set_numerator, _set_denominator, _set_offset = BeattySpec._setters
 
 
 def beatty_slice(spec: BeattySpec, lo: int, hi: int) -> list[int]:
@@ -73,7 +78,7 @@ def beatty_disjoint_exists(p1: int, q1: int, p2: int, q2: int) -> bool:
     """
     if not type(p1) is type(q1) is type(p2) is type(q2) is int:
         _ints(("p1", "q1", "p2", "q2"), p1, q1, p2, q2)
-    if min(p1, q1, p2, q2) < 1:
+    if not (p1 > 0 < q1 and p2 > 0 < q2):
         raise ValueError("slope parameters must be positive")
     g1, g2 = gcd(p1, q1), gcd(p2, q2)
     p1, q1, p2, q2 = p1 // g1, q1 // g1, p2 // g2, q2 // g2

@@ -16,7 +16,7 @@ __all__ = (
 class CoinPair(_Value):
     """Two coprime coin denominations."""
 
-    _fields = ("a", "b")
+    _fields = __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
         if not type(a) is type(b) is int:
@@ -25,7 +25,11 @@ class CoinPair(_Value):
             raise ValueError("denominations must be positive")
         if gcd(a, b) != 1:
             raise ValueError(f"denominations must be coprime, got {a}, {b}")
-        self.__dict__.update(a=a, b=b)
+        _set_a(self, a)
+        _set_b(self, b)
+
+
+_set_a, _set_b = CoinPair._setters
 
 
 def frobenius_number(coins: CoinPair) -> int:
@@ -62,10 +66,15 @@ class QuadrantBoundary(_Value):
     `cells` maps each retained coordinate (x, -y) to its value.
     """
 
-    _fields = ("word", "values", "cells")
+    _fields = __slots__ = ("word", "values", "cells")
 
     def __init__(self, word: Word, values: tuple[int, ...], cells: dict[tuple[int, int], int]):
-        self.__dict__.update(word=word, values=values, cells=cells)
+        _set_word(self, word)
+        _set_values(self, values)
+        _set_cells(self, cells)
+
+
+_set_word, _set_values, _set_cells = QuadrantBoundary._setters
 
 
 def boundary_word(coins: CoinPair, low: str = "α", high: str = "β") -> QuadrantBoundary:

@@ -35,13 +35,15 @@ __all__ = (
 class OracleResult(_Value):
     """All shifts of the second (longer) word that separate the marked positions."""
 
-    _fields = ("decision", "witnesses", "modulus")
+    _fields = __slots__ = ("decision", "witnesses", "modulus")
 
     def __init__(self, decision: bool, witnesses: tuple[int, ...], modulus: int):
-        set_ = object.__setattr__  # no __dict__ object: see _Value
-        set_(self, "decision", decision)
-        set_(self, "witnesses", witnesses)
-        set_(self, "modulus", modulus)
+        _set_decision(self, decision)
+        _set_witnesses(self, witnesses)
+        _set_modulus(self, modulus)
+
+
+_set_decision, _set_witnesses, _set_modulus = OracleResult._setters
 
 
 def _positions(s: str, letter: str):
@@ -174,10 +176,14 @@ def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
 class BeattyOracleResult(_Value):
     """Outcome of the shift search, with the first witness offset pair in grid order when found."""
 
-    _fields = ("disjoint_possible", "offsets")
+    _fields = __slots__ = ("disjoint_possible", "offsets")
 
     def __init__(self, disjoint_possible: bool, offsets: tuple[Fraction, Fraction] | None):
-        self.__dict__.update(disjoint_possible=disjoint_possible, offsets=offsets)
+        _set_disjoint_possible(self, disjoint_possible)
+        _set_offsets(self, offsets)
+
+
+_set_disjoint_possible, _set_offsets = BeattyOracleResult._setters
 
 
 def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleResult:

@@ -31,12 +31,12 @@ class SuperimpositionProblem(_Value):
     operand is a primitive Christoffel word.
     """
 
-    _fields = ("n", "m", "q", "alpha", "beta")
+    _fields = __slots__ = ("n", "m", "q", "alpha", "beta")
 
     def __init__(self, n: int, m: int, q: int, alpha: int, beta: int):
         if not type(n) is type(m) is type(q) is type(alpha) is type(beta) is int:
             _ints(self._fields, n, m, q, alpha, beta)
-        if min(n, m, q, alpha, beta) < 1:
+        if not (n > 0 < m and q > 0 < alpha and beta > 0):
             name = next(name for name, value in zip(self._fields, (n, m, q, alpha, beta))
                         if value < 1)
             raise ValueError(f"{name} must be positive")
@@ -46,18 +46,17 @@ class SuperimpositionProblem(_Value):
             raise ValueError(f"first marked count {q * alpha} must be <= and coprime to n={n}")
         if q * beta > m or gcd(q * beta, m) != 1:
             raise ValueError(f"second marked count {q * beta} must be <= and coprime to m={m}")
-        set_ = object.__setattr__  # no __dict__ object: see _Value
-        set_(self, "n", n)
-        set_(self, "m", m)
-        set_(self, "q", q)
-        set_(self, "alpha", alpha)
-        set_(self, "beta", beta)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_q(self, q)
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
 
     @classmethod
     def from_letter_counts(cls, n: int, a_count: int, m: int, b_count: int) -> "SuperimpositionProblem":
         """Decompose raw marked-letter counts as q*alpha, q*beta with q = gcd."""
-        if not type(a_count) is type(b_count) is int:
-            _ints(("a_count", "b_count"), a_count, b_count)
+        if not type(n) is type(a_count) is type(m) is type(b_count) is int:
+            _ints(("n", "a_count", "m", "b_count"), n, a_count, m, b_count)
         if a_count < 1 or b_count < 1:
             raise ValueError("marked-letter counts must be positive")
         q = gcd(a_count, b_count)
@@ -76,13 +75,21 @@ class SuperimpositionProblem(_Value):
         return _word(self.m, self.q * self.beta, mark, filler)
 
 
+_set_n, _set_m, _set_q, _set_alpha, _set_beta = SuperimpositionProblem._setters
+
+
 class BezoutSolution(_Value):
     """(x, y) of the decision equation with 1 <= y <= alpha, and z = alpha - y for the count."""
 
-    _fields = ("x", "y", "z")
+    _fields = __slots__ = ("x", "y", "z")
 
     def __init__(self, x: int, y: int, z: int):
-        self.__dict__.update(x=x, y=y, z=z)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+
+
+_set_x, _set_y, _set_z = BezoutSolution._setters
 
 
 def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
@@ -164,12 +171,17 @@ def interval_offsets(problem: SuperimpositionProblem) -> tuple[int, ...]:
 class SuperimpositionReport(_Value):
     """Decision, Bezout pair, shift count, and canonical witness for one problem."""
 
-    _fields = ("superimposable", "bezout", "count", "canonical_shift")
+    _fields = __slots__ = ("superimposable", "bezout", "count", "canonical_shift")
 
     def __init__(self, superimposable: bool, bezout: BezoutSolution, count: int,
                  canonical_shift: int | None):
-        self.__dict__.update(superimposable=superimposable, bezout=bezout, count=count,
-                             canonical_shift=canonical_shift)
+        _set_superimposable(self, superimposable)
+        _set_bezout(self, bezout)
+        _set_count(self, count)
+        _set_canonical_shift(self, canonical_shift)
+
+
+_set_superimposable, _set_bezout, _set_count, _set_canonical_shift = SuperimpositionReport._setters
 
 
 def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:
@@ -259,8 +271,7 @@ def merge_superimposition(u: Word, v: Word) -> Word:
     # The three letters are distinct single characters, checked with the two
     # alphabets, and every byte left is 0, 1 or 2, so nothing is checked again.
     symbols = merged.decode("latin-1").translate({0: filler, 1: mark_u, 2: mark_v})
-    return _prechecked(Word, symbols=symbols,
-                       alphabet=_prechecked(OrderedAlphabet, letters=(mark_u, mark_v, filler)))
+    return _prechecked(Word, symbols, _prechecked(OrderedAlphabet, (mark_u, mark_v, filler)))
 
 
 def collapse_merge(w: Word, filler: str) -> Word:

@@ -58,6 +58,14 @@ def test_modular_inverse_error_names_the_gcd():
     assert modular_inverse(5, 1) == 0
 
 
+def test_modular_inverse_refuses_a_modulus_below_one():
+    # pow would answer -3 for (3, -5), and name a gcd for (3, 0).
+    for n in (-5, 0):
+        with pytest.raises(ValueError) as raised:
+            modular_inverse(3, n)
+        assert str(raised.value) == f"modulus must be positive, got {n}"
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChristoffelSpec(8, 0)

@@ -1,4 +1,4 @@
-"""Every value class: repr, equality, hashing, immutability, copying, pickling and its checks.
+"""Every value class: repr, equality, hashing, immutability, storage, copying, pickling and its checks.
 
 The reprs and error messages are the ones the classes had as frozen
 dataclasses, byte for byte.  CI also runs this file under `python -O`, so
@@ -7,6 +7,7 @@ none of it may rest on `assert` inside the library.
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ import pytest
 from christoffel import (BeattyOracleResult, BeattySpec, BezoutSolution, CayleyGraph, ChristoffelSpec,
                          CoinPair, DecimationSpec, LatticePath, OracleResult,
                          OrderedAlphabet, PositionSet, QuadrantBoundary, Step, SuperimpositionProblem,
-                         SuperimpositionReport, Word)
-from christoffel.words import _prechecked
+                         SuperimpositionReport, Word, conjugate)
+from christoffel.words import _prechecked, _Value
 
 AX = OrderedAlphabet(("a", "x"))
 
@@ -89,8 +90,64 @@ def test_value_class(cls, args, other_args, text):
     assert repr(pickle.loads(pickle.dumps(value))) == text
 
 
+def _value_classes(cls=_Value):
+    """Every class of the package that derives from _Value, at any depth."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("christoffel."):
+            yield sub
+        yield from _value_classes(sub)
+
+
+def _counting(init, calls):
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+    return counted
+
+
+def test_values_have_one_storage(monkeypatch):
+    assert set(_value_classes()) == {case[0] for case in VALUES}
+    for cls, args, _, _ in VALUES:
+        assert cls.__slots__ == cls._fields, cls
+        value = cls(*args)
+        assert not hasattr(value, "__dict__"), cls
+        fields = tuple(getattr(value, name) for name in cls._fields)
+        assert value.__reduce__() == (cls, fields), cls
+        # A copy and a pickle are rebuilt through the constructor and its checks.
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__init__", _counting(cls.__init__, calls))
+            copied, loaded = copy.copy(value), pickle.loads(pickle.dumps(value))
+        assert calls == [fields, fields], cls
+        assert copied == value == loaded
+
+
+def test_values_take_eight_bytes_a_field_and_forty_more():
+    witnesses, aax = (1, 2), Word("aax", AX)
+    builds = [
+        (SuperimpositionProblem, lambda: SuperimpositionProblem(13, 13, 1, 4, 3)),
+        (OracleResult, lambda: OracleResult(True, witnesses, 5)),
+        (Word, lambda: Word("aax", AX)),
+        (Word, lambda: conjugate(aax, 3)),  # a full turn: the same str
+        (CoinPair, lambda: CoinPair(3, 5)),
+    ]
+    for cls, build in builds:
+        values = [None] * 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(len(values)):
+                values[i] = build()
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Only the values themselves are new: every field object is shared.
+        assert all(getattr(v, f) is getattr(values[0], f) for v in values for f in cls._fields)
+        assert used / len(values) <= 8 * len(cls._fields) + 40, (cls, used / len(values))
+
+
 def test_prechecked_word_equals_checked_word():
-    built = _prechecked(Word, symbols="aax", alphabet=AX)
+    built = _prechecked(Word, "aax", AX)
     checked = Word("aax", AX)
     assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
 

@@ -451,10 +451,10 @@ def test_int_arguments_refuse_bools_floats_and_strs():
                 with pytest.raises(TypeError) as raised:
                     call(*valid[:i], bad, *valid[i + 1:])
                 assert str(raised.value) == f"{name} must be an int, got {bad!r}", (names, i, bad)
-        # Arguments all of one type that is not int: one of them is named.
+        # Arguments all of one type that is not int: the first in the signature is named.
         with pytest.raises(TypeError) as raised:
             call(*map(_Int, valid))
-        assert str(raised.value) in {f"{name} must be an int, got _Int({v})" for name, v in zip(names, valid)}
+        assert str(raised.value) == f"{names[0]} must be an int, got _Int({valid[0]})", names
 
 
 def test_decimation_spec_takes_direction_values():
