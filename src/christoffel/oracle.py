@@ -6,11 +6,12 @@ check.  What it takes from `superimpose` is parsing: `_marked_letters` reads
 the marks and the filler off two alphabets, and `_mark_mask` reads a word
 into an int with bit i set iff letter i is a mark.  The validator folds those
 masks by residue, while the oracle rotates them over every shift, so the two
-share a parse, not arithmetic.  The oracle's fixed side (the shorter word's
-mask, folded onto the longer word's circle) is memoised for short words, with
-the bounds of the word memo; the memo skips repeated work only.  `crosscheck`
-is the one place where the superimposition fast path is compared against its
-oracle.
+share a parse, not arithmetic.  Each word of an oracle call is laid on the
+longer word's circle by `_fixed_side`: the shorter word as its folded marks,
+the longer word as its own marks.  For short words that fold is memoised,
+with the bounds of the word memo, so the memo holds either word of a pair and
+skips repeated work only.  `crosscheck` is the one place where the
+superimposition fast path is compared against its oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
     that make up one common period are therefore laid on a circle of m bits,
     copy j rotated by j*n mod m, by the binary method: a mask of h copies is
     doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
-    it by n and ORs in one more copy.
+    it by n and ORs in one more copy.  When n = m there is one copy and no
+    rotation, so the result is the word's own marks: this is how the oracle
+    reads the longer word too.
     """
     n, full = len(symbols), (1 << m) - 1
     one = _mark_mask(symbols, mark, filler)
@@ -81,8 +84,8 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
     return f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
 
 
-# A sweep meets each short word once per partner of the same length, so the
-# fixed side of a pair whose longer word has at most _MEMO_MAX_N letters is
+# A sweep meets each short word once per partner of the same length, so both
+# sides of a pair whose longer word has at most _MEMO_MAX_N letters are
 # memoised, in at most _MEMO_SIZE entries (the bounds of the word memo).  The
 # key is the word's str, whose hash is cached, not the Word, whose hash is
 # rebuilt from its fields on every call.
@@ -94,10 +97,12 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
 
     The operands are ordered so the shifted word is the longer one, of length
     m, and the marks of the fixed word are laid on a circle of m bits, one
-    common period folded onto it (see `_fixed_side`).  When m is at most 1024
-    that fold comes from a bounded memo, keyed by the fixed word's letters,
-    its mark, the filler and m, so a word met again with partners of one
-    length is parsed and folded once.
+    common period folded onto it (see `_fixed_side`).  The marks of the
+    moving word come from the same function, which lays a word on a circle
+    of its own length as its own marks.  When m is at most 1024 both come
+    from one bounded memo, keyed by a word's letters, its mark, the filler
+    and m, so a word met again, on either side, with partners of one length
+    is parsed and folded once.
 
     Shift k is blocked iff some fixed mark t and some moving mark s have
     s = t + k (mod m), so a blocked-shift mask gets bit (s - t) mod m for
@@ -113,11 +118,13 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     only after every mark on the walked side has been tried.  The witnesses
     are the free shifts, in increasing order.
 
-    The fold costs O(log(m / gcd(n, m))) rotations, none on a memo hit.  The
-    walk costs at most min(F, M) shifts for F fixed and M moving marks, fewer
-    when it stops; walking the denser side instead could take m where one
-    suffices.  Each is O(m) bit operations, and the masks and the strings
-    they are read from take O(n + m) memory.
+    The fold costs O(log(m / gcd(n, m))) rotations and the parse of both
+    words; on two memo hits it costs neither, and what is left before the
+    walk is a reversed copy, two mark counts and one conversion of m bits to
+    an int.  The walk costs at most min(F, M) shifts for F fixed and M moving
+    marks, fewer when it stops; walking the denser side instead could take m
+    where one suffices.  Each is O(m) bit operations, and the masks and the
+    strings they are read from take O(n + m) memory.
     """
     n, m = len(u.symbols), len(v.symbols)
     if n == 0 or m == 0:
@@ -127,17 +134,20 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         u, v, mark_u, mark_v, m = v, u, mark_v, mark_u, n
     fold = _cached_fixed_side if m <= _MEMO_MAX_N else _fixed_side
     fixed_bits = fold(u.symbols, mark_u, filler, m)
-    if fixed_bits.count("1") <= v.symbols.count(mark_v):
-        source, walked, letter = _mark_mask(v.symbols, mark_v, filler), fixed_bits, "1"
+    moving_bits = fold(v.symbols, mark_v, filler, m)[::-1]  # the reversed moving word's marks
+    if fixed_bits.count("1") <= moving_bits.count("1"):
+        source, walked = int(moving_bits, 2), fixed_bits
     else:
-        source, walked, letter = int(fixed_bits, 2), v.symbols[::-1], mark_v
+        source, walked = int(fixed_bits, 2), moving_bits
     full = (1 << m) - 1
     source |= source << m
     blocked = 0
-    for i in _positions(walked, letter):
+    i = walked.find("1")
+    while i >= 0:
         blocked |= source >> i & full
         if blocked == full:
             return OracleResult(False, (), m)
+        i = walked.find("1", i + 1)
     witnesses = tuple(_positions(bin(full ^ blocked)[:1:-1], "1"))
     return OracleResult(bool(witnesses), witnesses, m)
 

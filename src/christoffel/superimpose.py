@@ -57,8 +57,10 @@ class SuperimpositionProblem(_Value):
         """Decompose raw marked-letter counts as q*alpha, q*beta with q = gcd."""
         if not type(n) is type(a_count) is type(m) is type(b_count) is int:
             _ints(("n", "a_count", "m", "b_count"), n, a_count, m, b_count)
-        if a_count < 1 or b_count < 1:
-            raise ValueError("marked-letter counts must be positive")
+        if not (n > 0 < a_count and m > 0 < b_count):
+            counts = "marked-letter counts must be positive"
+            checks = (n, "n must be positive"), (a_count, counts), (m, "m must be positive"), (b_count, counts)
+            raise ValueError(next(message for value, message in checks if value < 1))
         q = gcd(a_count, b_count)
         return cls(n, m, q, a_count // q, b_count // q)
 
@@ -115,7 +117,7 @@ def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
 
 def is_superimposable(problem: SuperimpositionProblem) -> bool:
     """True iff some cyclic shift separates the two marked position sets."""
-    return _bezout(problem.p, problem.q, problem.alpha, problem.beta)[0] >= 1
+    return _bezout(gcd(problem.n, problem.m), problem.q, problem.alpha, problem.beta)[0] >= 1
 
 
 def _count(problem: SuperimpositionProblem, p: int, x: int, y: int) -> int:
@@ -138,7 +140,7 @@ def count_superimpositions(problem: SuperimpositionProblem) -> int:
     max(n, m) / gcd(n, m).  Shifts are counted on the longer operand (the
     operands are swapped internally when needed), matching the oracle.
     """
-    p = problem.p
+    p = gcd(problem.n, problem.m)
     return _count(problem, p, *_bezout(p, problem.q, problem.alpha, problem.beta))
 
 
@@ -150,7 +152,7 @@ def canonical_shift(problem: SuperimpositionProblem) -> tuple[int, bool]:
     """
     if not is_superimposable(problem):
         raise ValueError("the two words are not superimposable; no shift exists")
-    return _shift(problem, problem.p), True
+    return _shift(problem, gcd(problem.n, problem.m)), True
 
 
 def interval_offsets(problem: SuperimpositionProblem) -> tuple[int, ...]:
@@ -186,15 +188,11 @@ _set_superimposable, _set_bezout, _set_count, _set_canonical_shift = Superimposi
 
 def analyze(problem: SuperimpositionProblem) -> SuperimpositionReport:
     """Run the full fast path from one solve: decision, count, and canonical witness shift."""
-    p = problem.p
+    p = gcd(problem.n, problem.m)
     x, y = _bezout(p, problem.q, problem.alpha, problem.beta)
     ok = x >= 1
-    return SuperimpositionReport(
-        superimposable=ok,
-        bezout=BezoutSolution(x, y, problem.alpha - y),
-        count=_count(problem, p, x, y),
-        canonical_shift=_shift(problem, p) if ok else None,
-    )
+    return SuperimpositionReport(ok, BezoutSolution(x, y, problem.alpha - y), _count(problem, p, x, y),
+                                 _shift(problem, p) if ok else None)
 
 
 def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:

@@ -184,12 +184,12 @@ def test_oracle_memory_is_linear_in_the_lengths():
     assert peak < 256 * 1024
 
 
-def _memo_key(u, v):
-    """The key under which the oracle memoises the fixed (shorter) side of (u, v)."""
+def _memo_keys(u, v):
+    """The keys under which the oracle memoises the fixed (shorter) and the moving side of (u, v)."""
     mark_u, mark_v, filler = _marked_letters(u, v)
     if len(u) > len(v):
-        u, v, mark_u = v, u, mark_v
-    return u.symbols, mark_u, filler, len(v)
+        u, v, mark_u, mark_v = v, u, mark_v, mark_u
+    return (u.symbols, mark_u, filler, len(v)), (v.symbols, mark_v, filler, len(v))
 
 
 def test_oracle_answers_do_not_depend_on_the_memo():
@@ -206,14 +206,14 @@ def test_oracle_answers_do_not_depend_on_the_memo():
             result = oracle_superimposable(u, v)
             assert _as_tuple(result) == brute_superimposable(u, v), (u, v)
             cold.append(result)
-            key = _memo_key(u, v)
-            if key not in checked:
-                # The entry the call just used, read back as a hit, is what
-                # the undecorated helper computes.
-                hits = memo.cache_info().hits
-                assert memo(*key) == memo.__wrapped__(*key), key
-                assert memo.cache_info().hits == hits + 1
-                checked.add(key)
+            for key in _memo_keys(u, v):
+                if key not in checked:
+                    # Each entry the call just used, read back as a hit, is
+                    # what the undecorated helper computes.
+                    hits = memo.cache_info().hits
+                    assert memo(*key) == memo.__wrapped__(*key), key
+                    assert memo.cache_info().hits == hits + 1
+                    checked.add(key)
     assert len(checked) > memo.cache_info().maxsize  # entries were evicted along the way
     warm = iter(cold)
     for u in firsts:
@@ -228,7 +228,7 @@ def test_oracle_memo_keeps_to_its_bounds():
     oracle_superimposable(cw(7, 3), at_limit)
     before = memo.cache_info()
     oracle_superimposable(at_limit, cw(7, 3))
-    assert memo.cache_info().hits == before.hits + 1
+    assert memo.cache_info().hits == before.hits + 2  # one for each word
     # A longer word of _MEMO_MAX_N + 1 letters, on either side, with an
     # equal or a short partner, never reaches the memo.
     long_u, long_v = cw(_MEMO_MAX_N + 1, 7), cw(_MEMO_MAX_N + 1, 5, "b", "x")
@@ -240,8 +240,9 @@ def test_oracle_memo_keeps_to_its_bounds():
 
 
 def test_oracle_memo_memory_is_bounded():
-    # A full memo at the length limit: each entry keeps the fixed word's
-    # letters and its folded bit string, at most _MEMO_MAX_N letters each.
+    # A full memo at the length limit, filled from both sides: each entry
+    # keeps a word's letters and its folded bit string, at most _MEMO_MAX_N
+    # letters each.
     memo = oracle_module._cached_fixed_side
     fixed, moving = cw(_MEMO_MAX_N - 1, 301), cw(_MEMO_MAX_N, 299, "b", "x")
     memo.cache_clear()
@@ -249,7 +250,7 @@ def test_oracle_memo_memory_is_bounded():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for k in range(_MEMO_SIZE + 8):
-            oracle_superimposable(conjugate(fixed, k), moving)
+            oracle_superimposable(conjugate(fixed, k), conjugate(moving, k))
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

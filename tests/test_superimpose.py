@@ -96,6 +96,11 @@ def test_problem_validation():
         SuperimpositionProblem.from_letter_counts(8, 1, 8, 2)  # second word is a power
     with pytest.raises(ValueError, match=r"^marked-letter counts must be positive$"):
         SuperimpositionProblem.from_letter_counts(8, 0, 8, 1)
+    # A bad length is named before a bad count that follows it.
+    with pytest.raises(ValueError, match=r"^n must be positive$"):
+        SuperimpositionProblem.from_letter_counts(0, 0, 5, 1)
+    with pytest.raises(ValueError, match=r"^m must be positive$"):
+        SuperimpositionProblem.from_letter_counts(5, 1, 0, 0)
     SuperimpositionProblem(13, 13, 2, 4, 3)  # valid: 8 and 6 both coprime to 13
 
 
