@@ -5,6 +5,7 @@ Run:  python demos/03_superimposing_two_words.py
 
 from christoffel import (
     SuperimpositionProblem,
+    analyze,
     canonical_shift,
     canonical_witness,
     collapse_merge,
@@ -12,13 +13,12 @@ from christoffel import (
     is_superimposable,
     merge_superimposition,
     oracle_superimposable,
-    solve_bezout,
 )
 
 # Can C(13,4) and C(13,3) be slid (cyclically) so their marked letters never
 # meet?  The whole question reduces to one linear Diophantine equation.
 problem = SuperimpositionProblem(n=13, m=13, q=1, alpha=4, beta=3)
-sol = solve_bezout(problem)
+sol = analyze(problem).bezout
 print(f"solve 4x + 3y = 13 with 1 <= y <= 4:  x={sol.x}, y={sol.y}")
 print(f"superimposable (x >= 1)?              {is_superimposable(problem)}")
 

@@ -7,19 +7,19 @@ from christoffel import (
     ChristoffelSpec,
     DecimationSpec,
     Direction,
+    OrderedAlphabet,
     SuperimpositionProblem,
-    alphabet,
+    Word,
     canonical_witness,
     christoffel_word,
     collapse_merge,
     decimate,
-    make_word,
     merge_superimposition,
 )
 
 # Remove 1 of every 3 a's scanning right to left, then 1 of every 2 b's
 # scanning left to right.
-w = make_word("aabaabababa", alphabet("ab"))
+w = Word("aabaabababa", OrderedAlphabet("ab"))
 step1 = decimate(w, DecimationSpec(1, 3, Direction.RIGHT_TO_LEFT, "a"))
 step2 = decimate(step1, DecimationSpec(1, 2, Direction.LEFT_TO_RIGHT, "b"))
 print(f"{w}  -> {step1} -> {step2}")

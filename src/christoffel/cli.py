@@ -43,7 +43,6 @@ from .words import (
     is_balanced,
     is_circularly_balanced,
     is_primitive,
-    make_word,
     projection,
 )
 
@@ -58,8 +57,13 @@ class CommandError(Exception):
         self.status = status
 
 
+def _split(spec: str) -> tuple[str, ...]:
+    """The letters of a --letters value: comma-separated if it has a comma, else one per character."""
+    return tuple(spec.split(",")) if "," in spec else tuple(spec)
+
+
 def _letters(spec: str, count: int) -> tuple[str, ...]:
-    parts = tuple(spec.split(",")) if "," in spec else tuple(spec)
+    parts = _split(spec)
     if len(parts) != count:
         raise CommandError(f"expected {count} letters, got {spec!r}")
     return parts
@@ -67,9 +71,8 @@ def _letters(spec: str, count: int) -> tuple[str, ...]:
 
 def _word(args) -> Word:
     """--word over the --letters order, or over its own letters sorted."""
-    letters = _letters(args.letters, len(set(args.letters.replace(",", "")))) if args.letters \
-        else tuple(sorted(set(args.word)))
-    return make_word(args.word, OrderedAlphabet(letters))
+    letters = _split(args.letters) if args.letters else sorted(set(args.word))
+    return Word(args.word, OrderedAlphabet(letters))
 
 
 def _fraction(text: str) -> Fraction:
@@ -189,8 +192,8 @@ def _cmd_merge(args):
     if args.u is not None or args.v is not None:
         if args.u is None or args.v is None:
             raise CommandError("word mode needs both --u and --v")
-        u = make_word(args.u, OrderedAlphabet((mark_u, filler)))
-        v = make_word(args.v, OrderedAlphabet((mark_v, filler)))
+        u = Word(args.u, OrderedAlphabet((mark_u, filler)))
+        v = Word(args.v, OrderedAlphabet((mark_v, filler)))
         merged = merge_superimposition(u, v)
         collapsed = collapse_merge(merged, filler)
         payload = {"u": u.symbols, "v": v.symbols,

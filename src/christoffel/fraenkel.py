@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .superimpose import _bezout
-from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, count_letter
+from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked
 
 __all__ = ("BeattySpec", "beatty_disjoint_exists", "beatty_slice", "fraenkel_word", "letter_frequencies")
 
@@ -34,7 +34,7 @@ def fraenkel_word(k: int) -> Word:
 
 def letter_frequencies(w: Word) -> dict[str, int]:
     """Occurrence count of every alphabet letter, including absent ones."""
-    return {c: count_letter(w, c) for c in w.alphabet.letters}
+    return {c: w.symbols.count(c) for c in w.alphabet.letters}
 
 
 class BeattySpec(_Value):
@@ -48,9 +48,15 @@ class BeattySpec(_Value):
             raise TypeError(f"offset must be exact; pass a Fraction or a string, got {offset!r}")
         if denominator < 1:
             raise ValueError("denominator must be positive")
+        try:
+            exact = Fraction(offset)
+        except TypeError:
+            raise TypeError(f"offset must be a Fraction, an int or a string, got {offset!r}") from None
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"offset is not a finite rational number: {offset!r}") from None
         _set_numerator(self, numerator)
         _set_denominator(self, denominator)
-        _set_offset(self, Fraction(offset))
+        _set_offset(self, exact)
 
     @property
     def slope(self) -> Fraction:

@@ -19,7 +19,7 @@ __all__ = (
     "BezoutSolution", "SuperimpositionProblem", "SuperimpositionReport", "analyze", "canonical_shift",
     "canonical_witness", "collapse_merge", "count_superimpositions", "interval_offsets",
     "is_superimposable", "merge_superimposition", "perfectly_superimposable",
-    "reversal_superimposition_criterion", "solve_bezout",
+    "reversal_superimposition_criterion",
 )
 
 
@@ -107,12 +107,6 @@ def _bezout(p: int, q: int, alpha: int, beta: int) -> tuple[int, int]:
     rhs = p - 2 * alpha * beta * (q - 1)
     y = (rhs * pow(beta, -1, alpha)) % alpha or alpha
     return (rhs - y * beta) // alpha, y
-
-
-def solve_bezout(problem: SuperimpositionProblem) -> BezoutSolution:
-    """The unique windowed solution of the problem's decision equation; superimposable iff x >= 1."""
-    x, y = _bezout(problem.p, problem.q, problem.alpha, problem.beta)
-    return BezoutSolution(x, y, problem.alpha - y)
 
 
 def is_superimposable(problem: SuperimpositionProblem) -> bool:

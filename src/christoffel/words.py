@@ -6,9 +6,8 @@ from enum import Enum
 from math import gcd
 
 __all__ = (
-    "DecimationSpec", "Direction", "OrderedAlphabet", "Word", "alphabet", "conjugate",
-    "count_letter", "decimate", "is_balanced", "is_circularly_balanced", "is_primitive",
-    "make_word", "projection", "reverse",
+    "DecimationSpec", "Direction", "OrderedAlphabet", "Word", "conjugate", "decimate",
+    "is_balanced", "is_circularly_balanced", "is_primitive", "projection", "reverse",
 )
 
 
@@ -90,7 +89,7 @@ class _Value:
 
 
 class OrderedAlphabet(_Value):
-    """A totally ordered alphabet of distinct single-character letters."""
+    """A totally ordered alphabet of distinct single-character letters, from any iterable, e.g. "ax"."""
 
     _fields = __slots__ = ("letters",)
 
@@ -128,11 +127,6 @@ class OrderedAlphabet(_Value):
 
 
 _set_letters, = OrderedAlphabet._setters
-
-
-def alphabet(letters) -> OrderedAlphabet:
-    """Build an OrderedAlphabet from a string or letter sequence, e.g. alphabet("ax")."""
-    return OrderedAlphabet(tuple(letters))
 
 
 class Word(_Value):
@@ -191,19 +185,6 @@ def _prechecked(cls, *fields):
     for set_field, field in zip(cls._setters, fields):
         set_field(value, field)
     return value
-
-
-def make_word(symbols, alpha: OrderedAlphabet) -> Word:
-    """Build a word over the given alphabet, rejecting foreign symbols."""
-    if not isinstance(symbols, str):
-        symbols = "".join(symbols)
-    return Word(symbols, alpha)
-
-
-def count_letter(w: Word, letter: str) -> int:
-    """Number of occurrences of `letter` in `w`."""
-    w.alphabet.index(letter)
-    return w.symbols.count(letter)
 
 
 def _binary_balanced(s: str, a: str, b: str) -> bool:

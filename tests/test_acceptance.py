@@ -33,6 +33,9 @@ from christoffel import (
     decimate,
     DecimationSpec,
     Direction,
+    OrderedAlphabet,
+    Word,
+    analyze,
     fraenkel_word,
     frobenius_number,
     interval_offsets,
@@ -40,8 +43,6 @@ from christoffel import (
     is_superimposable,
     letter_frequencies,
     letter_positions,
-    make_word,
-    alphabet,
     modular_complement,
     nonrepresentable_count,
     oracle_frobenius,
@@ -51,7 +52,6 @@ from christoffel import (
     reversal_superimposition_criterion,
     reverse,
     shifted_cayley,
-    solve_bezout,
 )
 from christoffel.cli import main
 
@@ -165,13 +165,13 @@ def test_criterion_2_worked_examples_byte_exact(capsys):
     status, out = run_cli(capsys, "gen", "--n", "8", "--alpha", "5", "--letters", "a,x")
     assert status == 0 and out == "aaxaaxax\n"
     assert cw(8, 5).symbols == "aaxaaxax"
-    word = make_word("1232343112", alphabet("1234"))
+    word = Word("1232343112", OrderedAlphabet("1234"))
     assert projection(word, "1", "x").symbols == "1xxxxxx11x"
     assert projection(word, "2", "x").symbols == "x2x2xxxxx2"
     assert projection(word, "3", "x").symbols == "xx3x3x3xxx"
     assert projection(word, "4", "x").symbols == "xxxxx4xxxx"
 
-    start_word = make_word("aabaabababa", alphabet("ab"))
+    start_word = Word("aabaabababa", OrderedAlphabet("ab"))
     first = decimate(start_word, DecimationSpec(1, 3, Direction.RIGHT_TO_LEFT, "a"))
     assert first.symbols == "abababab"
     second = decimate(first, DecimationSpec(1, 2, Direction.LEFT_TO_RIGHT, "b"))
@@ -328,7 +328,7 @@ def test_criterion_10_structural_invariants():
         for a_count in coprimes(n):
             for b_count in coprimes(n):
                 problem = SuperimpositionProblem.from_letter_counts(n, a_count, n, b_count)
-                sol = solve_bezout(problem)
+                sol = analyze(problem).bezout
                 q, a, b = problem.q, problem.alpha, problem.beta
                 offsets = interval_offsets(problem)
                 assert offsets[0] == 0

@@ -21,7 +21,7 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 # Public functions that no README command calls. The library tests cover them,
 # and test_cli_count_is_count_superimpositions ties the count to `superimpose --count`.
-LIBRARY_ONLY = {"alphabet", "count_superimpositions", "solve_bezout"}
+LIBRARY_ONLY = {"count_superimpositions"}
 
 
 def run_cli(capsys, *args):
@@ -70,8 +70,8 @@ def test_readme_commands_print_the_recorded_bytes():
 def test_every_operation_is_reachable(capsys):
     """Run the README's commands under a profiler and list the public functions they call.
 
-    Functions are matched by code object, not by name: ChristoffelSpec.alphabet
-    is a property named like the alphabet() function.
+    Functions are matched by code object, not by name, so a method or property
+    that shares a public function's name cannot stand in for it.
     """
     functions = {name: getattr(christoffel, name).__code__ for name in christoffel.__all__
                  if not inspect.isclass(getattr(christoffel, name))}
@@ -194,6 +194,23 @@ def test_balance(capsys):
     assert payload["balanced"] and payload["circularly_balanced"]
     assert payload["counts"] == {"1": 2, "2": 1}
     assert payload["primitive"] is True
+    status, out, _ = run_cli(capsys, "balance", "--word", "abab", "--letters", "b,a")
+    assert status == 0
+    assert "counts: b=2 a=2" in out.splitlines()
+
+
+@pytest.mark.parametrize("letters, message", [
+    ("aa", "alphabet letters must be distinct: ('a', 'a')"),
+    ("a,", "letter '' is not a single printable character"),
+    ("ab,c", "letter 'ab' is not a single printable character"),
+])
+@pytest.mark.parametrize("verb", [
+    ["balance"],
+    ["decimate", "--letter", "a", "--p", "1", "--q", "2", "--direction", "left-to-right"],
+])
+def test_word_letters_are_checked_by_the_alphabet(capsys, verb, letters, message):
+    """--letters of balance and decimate is split like every other --letters and checked as an alphabet."""
+    assert run_cli(capsys, *verb, "--word", "aa", "--letters", letters) == (3, "", f"error: {message}\n")
 
 
 def test_superimpose_json_example(capsys):

@@ -6,14 +6,14 @@ import pytest
 
 from christoffel import (
     BeattySpec,
+    OrderedAlphabet,
+    Word,
     SuperimpositionProblem,
     beatty_disjoint_exists,
     beatty_slice,
     fraenkel_word,
     is_superimposable,
     letter_frequencies,
-    make_word,
-    alphabet,
     oracle_beatty_disjoint,
 )
 
@@ -40,9 +40,12 @@ def test_fraenkel_recursion_structure():
 
 def test_letter_frequencies_examples():
     assert letter_frequencies(fraenkel_word(3)) == {"1": 4, "2": 2, "3": 1}
-    empty = make_word("", alphabet("ab"))
+    empty = Word("", OrderedAlphabet("ab"))
     assert letter_frequencies(empty) == {"a": 0, "b": 0}
-    assert letter_frequencies(make_word("112", alphabet("12"))) == {"1": 2, "2": 1}
+    assert letter_frequencies(Word("112", OrderedAlphabet("12"))) == {"1": 2, "2": 1}
+    # Alphabet order, absent letters included.
+    assert list(letter_frequencies(Word("aaxaaxax", OrderedAlphabet("xa"))).items()) == [("x", 3), ("a", 5)]
+    assert letter_frequencies(Word("1213121", OrderedAlphabet("1234"))) == {"1": 4, "2": 2, "3": 1, "4": 0}
 
 
 def test_beatty_slice_examples():

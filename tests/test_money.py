@@ -5,7 +5,6 @@ import pytest
 from christoffel import (
     CoinPair,
     boundary_word,
-    count_letter,
     frobenius_number,
     nonrepresentable_count,
     oracle_frobenius,
@@ -62,8 +61,8 @@ def test_boundary_word_examples():
     assert boundary_word(CoinPair(8, 5)).word.symbols == "ααβααβαβααβαβ"
     assert boundary_word(CoinPair(1, 1)).word.symbols == "αβ"
     small = boundary_word(CoinPair(2, 3))
-    assert count_letter(small.word, "α") == 2
-    assert count_letter(small.word, "β") == 3
+    assert small.word.symbols.count("α") == 2
+    assert small.word.symbols.count("β") == 3
     assert small.word == cw(5, 2, "α", "β")
 
 

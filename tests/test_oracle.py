@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import christoffel.oracle as oracle_module
 from christoffel import (
     CoinPair,
+    OrderedAlphabet,
     SuperimpositionProblem,
     SuperimpositionReport,
-    alphabet,
+    Word,
     conjugate,
     crosscheck,
     is_superimposable,
-    make_word,
     merge_superimposition,
     oracle_frobenius,
     oracle_superimposable,
@@ -53,9 +53,9 @@ def test_oracle_orders_operands_by_length():
 
 def test_oracle_alphabet_mismatch():
     with pytest.raises(ValueError):
-        oracle_superimposable(make_word("ax", alphabet("ax")), make_word("xa", alphabet("ax")))
+        oracle_superimposable(Word("ax", OrderedAlphabet("ax")), Word("xa", OrderedAlphabet("ax")))
     with pytest.raises(ValueError):
-        oracle_superimposable(make_word("", alphabet("ax")), make_word("bx", alphabet("bx")))
+        oracle_superimposable(Word("", OrderedAlphabet("ax")), Word("bx", OrderedAlphabet("bx")))
 
 
 def _as_tuple(result):
@@ -270,8 +270,8 @@ def test_oracle_matches_literal_reference_on_binary_words(letters, bits_u, bits_
     # Digits as letters: a mark "0" with a filler "1" breaks any translation
     # to bit strings that substitutes one letter at a time.
     filler, mark_u, mark_v = letters[:3]
-    u = make_word([mark_u if b else filler for b in bits_u], alphabet(filler + mark_u))
-    v = make_word([mark_v if b else filler for b in bits_v], alphabet(mark_v + filler))
+    u = Word("".join([mark_u if b else filler for b in bits_u]), OrderedAlphabet(filler + mark_u))
+    v = Word("".join([mark_v if b else filler for b in bits_v]), OrderedAlphabet(mark_v + filler))
     assert _as_tuple(oracle_superimposable(u, v)) == brute_superimposable(u, v)
     assert _as_tuple(oracle_superimposable(v, u)) == brute_superimposable(v, u)
 
@@ -286,7 +286,7 @@ def test_oracle_matches_literal_reference_on_binary_words(letters, bits_u, bits_
 ])
 def test_oracle_error_messages(u, v, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        oracle_superimposable(make_word(u, alphabet(u or "ax")), make_word(v, alphabet(v or "bx")))
+        oracle_superimposable(Word(u, OrderedAlphabet(u or "ax")), Word(v, OrderedAlphabet(v or "bx")))
 
 
 def _reference_marks(lu, lv):
@@ -303,7 +303,7 @@ def test_marks_and_filler_match_a_set_reference():
     alphabets = [letters for size in (1, 2, 3) for letters in permutations(pool, size)]
     for lu in alphabets:
         for lv in alphabets:
-            u, v = make_word("".join(lu), alphabet(lu)), make_word("".join(lv), alphabet(lv))
+            u, v = Word("".join(lu), OrderedAlphabet(lu)), Word("".join(lv), OrderedAlphabet(lv))
             reference = _reference_marks(lu, lv)
             if reference is None:
                 message = f"^{re.escape(f'alphabets {lu} and {lv} must share exactly the filler')}$"
@@ -316,14 +316,14 @@ def test_marks_and_filler_match_a_set_reference():
             # Every word of length 1 to 3 on each side, so the answers depend on which letter marks.
             for su in (s for s in words_upto(lu, 3) if s):
                 for sv in (s for s in words_upto(lv, 3) if s):
-                    u, v = make_word(su, alphabet(lu)), make_word(sv, alphabet(lv))
+                    u, v = Word(su, OrderedAlphabet(lu)), Word(sv, OrderedAlphabet(lv))
                     g = gcd(len(su), len(sv))
                     meet = {i % g for i, c in enumerate(su) if c == mark_u} & {
                         j % g for j, c in enumerate(sv) if c == mark_v}
                     assert perfectly_superimposable(u, v) == (not meet), (su, sv)
                     assert _as_tuple(oracle_superimposable(u, v)) == brute_superimposable(u, v), (su, sv)
             # The overlay's alphabet spells out the marks and the filler.
-            merged = merge_superimposition(make_word(filler, alphabet(lu)), make_word(filler, alphabet(lv)))
+            merged = merge_superimposition(Word(filler, OrderedAlphabet(lu)), Word(filler, OrderedAlphabet(lv)))
             assert merged.alphabet.letters == (mark_u, mark_v, filler)
 
 

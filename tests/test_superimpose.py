@@ -14,7 +14,6 @@ from christoffel import (
     OrderedAlphabet,
     SuperimpositionProblem,
     Word,
-    alphabet,
     analyze,
     canonical_shift,
     canonical_witness,
@@ -25,13 +24,11 @@ from christoffel import (
     crosscheck,
     interval_offsets,
     is_superimposable,
-    make_word,
     merge_superimposition,
     oracle_superimposable,
     perfectly_superimposable,
     reversal_superimposition_criterion,
     reverse,
-    solve_bezout,
 )
 from christoffel.superimpose import _bezout, _marked_letters
 
@@ -76,7 +73,7 @@ def merge_outcome(merge, u, v):
 
 def short_words(letters, max_len):
     """Every nonempty word over `letters` of length at most `max_len`."""
-    return [make_word("".join(t), alphabet(letters))
+    return [Word("".join(t), OrderedAlphabet(letters))
             for length in range(1, max_len + 1) for t in product(letters, repeat=length)]
 
 
@@ -105,14 +102,15 @@ def test_problem_validation():
 
 
 def test_solve_bezout_examples():
-    assert solve_bezout(SuperimpositionProblem(13, 13, 1, 4, 3)) == BezoutSolution(1, 3, 1)
-    assert solve_bezout(SuperimpositionProblem(5, 5, 1, 1, 1)) == BezoutSolution(4, 1, 0)
-    assert solve_bezout(SuperimpositionProblem(7, 7, 1, 2, 3)) == BezoutSolution(2, 1, 1)
+    # analyze is the one public reader of the windowed solve.
+    assert analyze(SuperimpositionProblem(13, 13, 1, 4, 3)).bezout == BezoutSolution(1, 3, 1)
+    assert analyze(SuperimpositionProblem(5, 5, 1, 1, 1)).bezout == BezoutSolution(4, 1, 0)
+    assert analyze(SuperimpositionProblem(7, 7, 1, 2, 3)).bezout == BezoutSolution(2, 1, 1)
 
 
 def test_solve_bezout_window_and_coprimality():
     for problem in same_length_problems(40):
-        sol = solve_bezout(problem)
+        sol = analyze(problem).bezout
         rhs = problem.p - 2 * problem.alpha * problem.beta * (problem.q - 1)
         assert sol.x * problem.alpha + sol.y * problem.beta == rhs
         assert 1 <= sol.y <= problem.alpha
@@ -170,19 +168,19 @@ def test_single_mark_against_reversed_double_mark():
 
 
 def test_perfectly_superimposable_examples():
-    u = make_word("aaxaxx", alphabet("ax"))
-    v = make_word("xxbxxx", alphabet("bx"))
+    u = Word("aaxaxx", OrderedAlphabet("ax"))
+    v = Word("xxbxxx", OrderedAlphabet("bx"))
     assert perfectly_superimposable(u, v)
-    assert not perfectly_superimposable(make_word("axx", alphabet("ax")),
-                                         make_word("bxx", alphabet("bx")))
+    assert not perfectly_superimposable(Word("axx", OrderedAlphabet("ax")),
+                                         Word("bxx", OrderedAlphabet("bx")))
     assert perfectly_superimposable(cw(13, 4, "a", "z"),
-                                    make_word("zzzzbzzzbzzzb", alphabet("bz")))
+                                    Word("zzzzbzzzbzzzb", OrderedAlphabet("bz")))
 
 
 def test_perfectly_superimposable_unequal_periods():
     # period 2 versus period 3 collide somewhere in lcm 6 despite distinct heads
-    u = make_word("ax", alphabet("ax"))
-    v = make_word("xxb", alphabet("bx"))
+    u = Word("ax", OrderedAlphabet("ax"))
+    v = Word("xxb", OrderedAlphabet("bx"))
     res_u = {0, 2, 4}
     res_v = {2, 5}
     assert bool(res_u & res_v)
@@ -192,7 +190,7 @@ def test_perfectly_superimposable_unequal_periods():
 @settings(max_examples=500)
 @given(st.text(alphabet="ax", min_size=1, max_size=40), st.text(alphabet="bx", min_size=1, max_size=40))
 def test_perfectly_superimposable_matches_oracle_on_arbitrary_words(u, v):
-    u, v = make_word(u, alphabet("ax")), make_word(v, alphabet("bx"))
+    u, v = Word(u, OrderedAlphabet("ax")), Word(v, OrderedAlphabet("bx"))
     assert perfectly_superimposable(u, v) == (0 in oracle_superimposable(u, v).witnesses)
 
 
@@ -232,16 +230,16 @@ def test_perfectly_superimposable_memory_is_linear_in_the_lengths(n, a_count, m,
 
 def test_perfectly_superimposable_alphabet_mismatch():
     with pytest.raises(ValueError):
-        perfectly_superimposable(make_word("ax", alphabet("ax")), make_word("ax", alphabet("ax")))
+        perfectly_superimposable(Word("ax", OrderedAlphabet("ax")), Word("ax", OrderedAlphabet("ax")))
     with pytest.raises(ValueError):
-        perfectly_superimposable(make_word("ax", alphabet("ax")), make_word("by", alphabet("by")))
+        perfectly_superimposable(Word("ax", OrderedAlphabet("ax")), Word("by", OrderedAlphabet("by")))
     with pytest.raises(ValueError):
-        perfectly_superimposable(make_word("", alphabet("ax")), make_word("b", alphabet("bx")))
+        perfectly_superimposable(Word("", OrderedAlphabet("ax")), Word("b", OrderedAlphabet("bx")))
 
 
 def test_merge_example():
     u = cw(13, 4, "a", "z")
-    v = make_word("zzzzbzzzbzzzb", alphabet("bz"))
+    v = Word("zzzzbzzzbzzzb", OrderedAlphabet("bz"))
     merged = merge_superimposition(u, v)
     assert merged.symbols == "azzabzazbazzb"
     assert merged.alphabet.letters == ("a", "b", "z")
@@ -251,12 +249,12 @@ def test_merge_example():
 
 
 def test_merge_all_filler():
-    u = make_word("zzz", alphabet("az"))
-    v = make_word("zzz", alphabet("bz"))
+    u = Word("zzz", OrderedAlphabet("az"))
+    v = Word("zzz", OrderedAlphabet("bz"))
     assert merge_superimposition(u, v).symbols == "zzz"
     assert collapse_merge(merge_superimposition(u, v), "z").symbols == ""
-    empty = merge_superimposition(make_word("", alphabet("az")), make_word("", alphabet("bz")))
-    assert empty == make_word("", alphabet("abz"))
+    empty = merge_superimposition(Word("", OrderedAlphabet("az")), Word("", OrderedAlphabet("bz")))
+    assert empty == Word("", OrderedAlphabet("abz"))
 
 
 def test_merge_matches_reference_on_every_short_equal_length_pair():
@@ -273,14 +271,14 @@ def test_merge_matches_reference_on_every_short_equal_length_pair():
 
 def test_merge_conflict_and_length_errors():
     with pytest.raises(ValueError, match="collide"):
-        merge_superimposition(make_word("az", alphabet("az")), make_word("bz", alphabet("bz")))
+        merge_superimposition(Word("az", OrderedAlphabet("az")), Word("bz", OrderedAlphabet("bz")))
     with pytest.raises(ValueError, match="length"):
-        merge_superimposition(make_word("az", alphabet("az")), make_word("zzb", alphabet("bz")))
+        merge_superimposition(Word("az", OrderedAlphabet("az")), Word("zzb", OrderedAlphabet("bz")))
 
 
 def test_collapse_merge_validation():
     with pytest.raises(ValueError):
-        collapse_merge(make_word("ab", alphabet("ab")), "z")
+        collapse_merge(Word("ab", OrderedAlphabet("ab")), "z")
 
 
 def test_reversal_criterion_examples():
@@ -325,7 +323,7 @@ def test_interval_offset_examples():
 
 def test_interval_offset_unit_alpha_hits_shifted_endpoint():
     problem = SuperimpositionProblem(13, 13, 1, 1, 3)
-    sol = solve_bezout(problem)
+    sol = analyze(problem).bezout
     assert sol.y == 1 and sol.x == 10
     assert interval_offsets(problem) == (13 - sol.x - 3,)
 
@@ -485,13 +483,12 @@ def test_analyze_report():
 
 
 def _check_report(problem):
-    """analyze agrees with the four single calls, solves its equation and certifies its shift."""
+    """analyze agrees with the three single calls, solves its equation and certifies its shift."""
     report = analyze(problem)
     q, a, b, p = problem.q, problem.alpha, problem.beta, problem.p
     x, y, z = report.bezout.x, report.bezout.y, report.bezout.z
     assert x * a + y * b == p - 2 * a * b * (q - 1) and 1 <= y <= a and z == a - y, problem
     assert report.superimposable == is_superimposable(problem) == (x >= 1), problem
-    assert report.bezout == solve_bezout(problem), problem
     assert report.count == count_superimpositions(problem), problem
     if report.superimposable:
         shift = report.canonical_shift

@@ -192,6 +192,10 @@ REJECTED = [
     (OrderedAlphabet, (5,), TypeError, "letters must be iterable, got 5"),
     (Word, (5, AX), TypeError, "symbols must be a str, got 5"),
     (PositionSet, (8, 5), TypeError, "residues must be iterable, got 5"),
+    (BeattySpec, (7, 3, "1/0"), ValueError, "offset is not a finite rational number: '1/0'"),
+    (BeattySpec, (7, 3, "abc"), ValueError, "offset is not a finite rational number: 'abc'"),
+    (BeattySpec, (7, 3, None), TypeError, "offset must be a Fraction, an int or a string, got None"),
+    (BeattySpec, (7, 3, 1j), TypeError, "offset must be a Fraction, an int or a string, got 1j"),
 ]
 
 

@@ -16,16 +16,14 @@ from christoffel import (
     Direction,
     OrderedAlphabet,
     Word,
-    alphabet,
     christoffel_word,
     conjugate,
-    count_letter,
     decimate,
     fraenkel_word,
     is_balanced,
     is_circularly_balanced,
     is_primitive,
-    make_word,
+    letter_frequencies,
     projection,
     reverse,
 )
@@ -33,8 +31,8 @@ from christoffel import (
 from conftest import (brute_balanced, brute_circularly_balanced, brute_primitive, balanced_words, cw,
                       words_upto)
 
-AX = alphabet("ax")
-DIGITS = alphabet("1234")
+AX = OrderedAlphabet("ax")
+DIGITS = OrderedAlphabet("1234")
 
 
 def test_alphabet_rejects_duplicates_and_multichar():
@@ -47,25 +45,29 @@ def test_alphabet_rejects_duplicates_and_multichar():
 
 
 def test_make_word_example():
-    w = make_word("aaxaaxax", AX)
+    w = Word("aaxaaxax", AX)
     assert len(w) == 8
-    assert count_letter(w, "a") == 5
-    assert count_letter(w, "x") == 3
+    assert w.symbols.count("a") == 5
+    assert w.symbols.count("x") == 3
 
 
 def test_make_word_empty():
-    assert len(make_word("", AX)) == 0
+    assert len(Word("", AX)) == 0
 
 
-def test_make_word_rejects_foreign_symbol():
-    with pytest.raises(ValueError, match="'b'.*index 1"):
-        make_word("ab", AX)
+def test_count_letter():
+    assert Word("", AX).symbols.count("a") == 0
+    assert Word("1213121", DIGITS).symbols.count("1") == 4
+    assert letter_frequencies(Word("1213121", DIGITS)) == {"1": 4, "2": 2, "3": 1, "4": 0}
+    # A letter outside the alphabet is never counted.
+    assert Word("ax", AX).symbols.count("z") == 0
+    assert "z" not in letter_frequencies(Word("ax", AX))
 
 
 def test_foreign_symbol_message_names_first_bad_index():
     s = "ax" * 5000 + "z" + "xa" * 5000 + "b"
     with pytest.raises(ValueError) as info:
-        make_word(s, AX)
+        Word(s, AX)
     assert str(info.value) == "symbol 'z' at index 10000 is not in alphabet ('a', 'x')"
 
 
@@ -110,7 +112,7 @@ def test_word_rejects_symbols_that_are_not_a_str():
 def words_and_transforms(draw):
     """A word over 1 to 4 distinct letters, and the arguments of each transform on it."""
     letters = draw(st.lists(CHARACTERS.filter(str.isprintable), min_size=1, max_size=4, unique=True))
-    w = make_word(draw(st.text(alphabet=st.sampled_from(letters), max_size=60)), OrderedAlphabet(tuple(letters)))
+    w = Word(draw(st.text(alphabet=st.sampled_from(letters), max_size=60)), OrderedAlphabet(tuple(letters)))
     q = draw(st.integers(min_value=1, max_value=6))
     decimation = DecimationSpec(draw(st.integers(0, q)), q, draw(st.sampled_from(list(Direction))),
                                 draw(st.sampled_from(letters)))
@@ -146,42 +148,35 @@ def test_fraenkel_words_pass_the_public_checks():
         assert_word_passes_public_checks(fraenkel_word(k))
 
 
-def test_count_letter():
-    assert count_letter(make_word("", AX), "a") == 0
-    assert count_letter(make_word("1213121", DIGITS), "1") == 4
-    with pytest.raises(ValueError):
-        count_letter(make_word("ax", AX), "z")
-
-
 def test_balance_examples():
-    two = alphabet("12")
-    assert is_balanced(make_word("112121", two))
-    assert is_balanced(make_word("112112", two))
-    assert not is_balanced(make_word("1122", two))
+    two = OrderedAlphabet("12")
+    assert is_balanced(Word("112121", two))
+    assert is_balanced(Word("112112", two))
+    assert not is_balanced(Word("1122", two))
 
 
 def test_circular_balance_examples():
-    two = alphabet("12")
-    assert not is_circularly_balanced(make_word("112121", two))
-    assert is_circularly_balanced(make_word("112", two))
-    assert is_circularly_balanced(make_word("", two))
+    two = OrderedAlphabet("12")
+    assert not is_circularly_balanced(Word("112121", two))
+    assert is_circularly_balanced(Word("112", two))
+    assert is_circularly_balanced(Word("", two))
 
 
 def test_balance_matches_brute_force():
     for s in words_upto("ab", 13):
-        w = make_word(s, alphabet("ab"))
+        w = Word(s, OrderedAlphabet("ab"))
         assert is_balanced(w) == brute_balanced(s), s
     for s in words_upto("abc", 8):
-        w = make_word(s, alphabet("abc"))
+        w = Word(s, OrderedAlphabet("abc"))
         assert is_balanced(w) == brute_balanced(s), s
 
 
 def test_circular_balance_matches_brute_force():
     for s in words_upto("ab", 14):
-        w = make_word(s, alphabet("ab"))
+        w = Word(s, OrderedAlphabet("ab"))
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
     for s in words_upto("abc", 8):
-        w = make_word(s, alphabet("abc"))
+        w = Word(s, OrderedAlphabet("abc"))
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
 
 
@@ -189,8 +184,8 @@ def test_balance_matches_brute_force_on_deep_factors():
     """Long factors reach the deeper levels of the desubstitution; slopes of
     consecutive Fibonacci numbers give the most levels for a length.  A
     flipped letter, anywhere or at either end, may or may not unbalance it."""
-    assert is_balanced(make_word("aabababaa", alphabet("ab")))
-    assert not is_balanced(make_word("aaababaa", alphabet("ab")))
+    assert is_balanced(Word("aabababaa", OrderedAlphabet("ab")))
+    assert not is_balanced(Word("aaababaa", OrderedAlphabet("ab")))
     rng = Random(2010)
     fibonacci = [(21, 13), (34, 21), (55, 34), (89, 55), (144, 89), (233, 144)]
     slopes = fibonacci + [(n, rng.randint(1, n - 1)) for n in rng.sample(range(16, 161), 24)]
@@ -211,7 +206,7 @@ def test_balance_matches_brute_force_on_deep_factors():
         factor = fraenkel[start:start + length]
         i = rng.randrange(length)
         cases += [factor, factor[:i] + rng.choice("12345".replace(factor[i], "")) + factor[i + 1:]]
-    verdicts = [is_balanced(make_word(s, alphabet(sorted(set(s))))) for s in cases]
+    verdicts = [is_balanced(Word(s, OrderedAlphabet(sorted(set(s))))) for s in cases]
     assert verdicts == [brute_balanced(s) for s in cases]
     assert 0 < sum(verdicts) < len(cases)
 
@@ -221,13 +216,13 @@ def test_predicates_on_long_words():
     word = christoffel_word(ChristoffelSpec(n, 30_001))
     assert is_balanced(word)
     assert is_primitive(word)
-    assert not is_balanced(make_word(word.symbols + "xx", AX))
+    assert not is_balanced(Word(word.symbols + "xx", AX))
     for k in range(0, n, 9_973):
         assert is_circularly_balanced(conjugate(word, k)), k
     dense = christoffel_word(ChristoffelSpec(n, 70_001))
     assert "aa" in dense.symbols
-    assert not is_balanced(make_word(dense.symbols + "xx", AX))
-    power = make_word(word.symbols * 3, AX)
+    assert not is_balanced(Word(dense.symbols + "xx", AX))
+    power = Word(word.symbols * 3, AX)
     assert not is_primitive(power)
     assert is_balanced(power) and is_circularly_balanced(power)
     fraenkel = fraenkel_word(12)
@@ -249,7 +244,7 @@ def test_import_does_not_load_numpy():
 
 def test_circular_balance_implies_balance():
     for s in words_upto("ab", 10):
-        w = make_word(s, alphabet("ab"))
+        w = Word(s, OrderedAlphabet("ab"))
         if is_circularly_balanced(w):
             assert is_balanced(w), s
 
@@ -259,38 +254,38 @@ def test_projection_preserves_circular_balance_exhaustively():
     circ = [s for s in balanced_words(letters, 10) if brute_circularly_balanced(s)]
     assert len(circ) > 1000
     for s in circ:
-        w = make_word(s, alphabet(letters))
+        w = Word(s, OrderedAlphabet(letters))
         assert is_circularly_balanced(w)
         for letter in letters:
             assert is_circularly_balanced(projection(w, letter, "x")), (s, letter)
 
 
 def test_reverse_examples():
-    assert reverse(make_word("aaxaaxax", AX)).symbols == "xaxaaxaa"
-    aba = make_word("aba", alphabet("ab"))
+    assert reverse(Word("aaxaaxax", AX)).symbols == "xaxaaxaa"
+    aba = Word("aba", OrderedAlphabet("ab"))
     assert reverse(aba) == aba
-    bz = alphabet("bz")
-    assert reverse(make_word("bzzzbzzzbzzzz", bz)).symbols == "zzzzbzzzbzzzb"
+    bz = OrderedAlphabet("bz")
+    assert reverse(Word("bzzzbzzzbzzzz", bz)).symbols == "zzzzbzzzbzzzb"
 
 
 @given(st.text(alphabet="abc", max_size=30))
 def test_reverse_involution(s):
-    w = make_word(s, alphabet("abc"))
+    w = Word(s, OrderedAlphabet("abc"))
     assert reverse(reverse(w)) == w
 
 
 def test_conjugate_examples():
-    aab = make_word("aab", alphabet("ab"))
+    aab = Word("aab", OrderedAlphabet("ab"))
     assert conjugate(aab, 1).symbols == "aba"
     assert conjugate(aab, 3) == aab
-    bz = alphabet("bz")
-    w = make_word("bzzzbzzzbzzzz", bz)
+    bz = OrderedAlphabet("bz")
+    w = Word("bzzzbzzzbzzzz", bz)
     assert conjugate(w, 9).symbols == "zzzzbzzzbzzzb"
     assert conjugate(w, 9) == reverse(w)
 
 
 def test_conjugate_empty_word():
-    empty = make_word("", AX)
+    empty = Word("", AX)
     assert conjugate(empty, 0) == empty
     with pytest.raises(ValueError):
         conjugate(empty, 1)
@@ -301,7 +296,7 @@ def test_conjugate_composition_exhaustive_small():
         if not s:
             continue
         n = len(s)
-        w = make_word(s, alphabet("ab"))
+        w = Word(s, OrderedAlphabet("ab"))
         for i in range(-n, n + 1):
             wi = conjugate(w, i)
             for j in range(-n, n + 1):
@@ -315,25 +310,25 @@ def test_conjugate_composition(s, data):
     n = len(s)
     i = data.draw(st.integers(min_value=-n, max_value=n))
     j = data.draw(st.integers(min_value=-n, max_value=n))
-    w = make_word(s, alphabet("ab"))
+    w = Word(s, OrderedAlphabet("ab"))
     assert conjugate(conjugate(w, i), j) == conjugate(w, i + j)
     assert conjugate(w, n) == w
 
 
 def test_is_primitive():
-    assert is_primitive(make_word("aaxaaxax", AX))
-    assert not is_primitive(make_word("axax", AX))
-    assert is_primitive(make_word("a", AX))
+    assert is_primitive(Word("aaxaaxax", AX))
+    assert not is_primitive(Word("axax", AX))
+    assert is_primitive(Word("a", AX))
     with pytest.raises(ValueError):
-        is_primitive(make_word("", AX))
+        is_primitive(Word("", AX))
 
 
 def test_is_primitive_matches_brute_force_on_all_short_words():
     for letters, max_len in (("ab", 14), ("abc", 9)):
-        over = alphabet(letters)
+        over = OrderedAlphabet(letters)
         for s in words_upto(letters, max_len):
             if s:
-                assert is_primitive(make_word(s, over)) == brute_primitive(s), s
+                assert is_primitive(Word(s, over)) == brute_primitive(s), s
 
 
 def test_is_primitive_matches_brute_force_on_long_powers():
@@ -349,8 +344,8 @@ def test_is_primitive_matches_brute_force_on_long_powers():
                 s = root * k
                 # With its last letter changed, s loses every period it had.
                 for t in (s, s[:-1] + ("a" if s[-1] == "x" else "x")):
-                    assert is_primitive(make_word(t, AX)) == brute_primitive(t), (length, k)
-            assert is_primitive(make_word(roots[0] * k, AX)) == (k == 1)
+                    assert is_primitive(Word(t, AX)) == brute_primitive(t), (length, k)
+            assert is_primitive(Word(roots[0] * k, AX)) == (k == 1)
 
 
 def test_is_primitive_does_not_double_the_word():
@@ -365,7 +360,7 @@ def test_is_primitive_does_not_double_the_word():
 
 
 def test_projection_examples():
-    w = make_word("1232343112", DIGITS)
+    w = Word("1232343112", DIGITS)
     assert projection(w, "1", "x").symbols == "1xxxxxx11x"
     assert projection(w, "2", "x").symbols == "x2x2xxxxx2"
     assert projection(w, "3", "x").symbols == "xx3x3x3xxx"
@@ -374,19 +369,19 @@ def test_projection_examples():
 
 
 def test_projection_without_occurrences():
-    w = make_word("222", DIGITS)
+    w = Word("222", DIGITS)
     assert projection(w, "1", "x").symbols == "xxx"
 
 
 def test_projection_filler_collision():
-    w = make_word("12", DIGITS)
+    w = Word("12", DIGITS)
     with pytest.raises(ValueError):
         projection(w, "1", "2")
 
 
 def test_decimation_worked_example():
-    ab = alphabet("ab")
-    w = make_word("aabaabababa", ab)
+    ab = OrderedAlphabet("ab")
+    w = Word("aabaabababa", ab)
     first = decimate(w, DecimationSpec(1, 3, Direction.RIGHT_TO_LEFT, "a"))
     assert first.symbols == "abababab"
     second = decimate(first, DecimationSpec(1, 2, Direction.LEFT_TO_RIGHT, "b"))
@@ -394,8 +389,8 @@ def test_decimation_worked_example():
 
 
 def test_decimation_zero_removals():
-    ab = alphabet("ab")
-    w = make_word("abbaba", ab)
+    ab = OrderedAlphabet("ab")
+    w = Word("abbaba", ab)
     for direction in Direction:
         assert decimate(w, DecimationSpec(0, 1, direction, "a")) == w
 
@@ -482,9 +477,9 @@ def _reference_decimate(s, p, q, direction, letter):
 def test_decimation_matches_reference_exhaustively():
     # A third letter shows that letters other than the target are left in place.
     for letters, max_len in (("ab", 10), ("abc", 6)):
-        alpha = alphabet(letters)
+        alpha = OrderedAlphabet(letters)
         for s in words_upto(letters, max_len):
-            w = make_word(s, alpha)
+            w = Word(s, alpha)
             for q in range(1, 6):
                 for p in range(q + 1):
                     for direction in Direction:
@@ -501,8 +496,8 @@ def test_decimation_removal_count_on_a_long_word():
         for direction in Direction:
             result = decimate(w, DecimationSpec(p, q, direction, "a"))
             removed = p * (n_occ // q) + min(p, n_occ % q)
-            assert count_letter(result, "a") == n_occ - removed, (p, q, direction)
-            assert count_letter(result, "b") == 100_003 - n_occ
+            assert result.symbols.count("a") == n_occ - removed, (p, q, direction)
+            assert result.symbols.count("b") == 100_003 - n_occ
     for direction in Direction:
         spec = DecimationSpec(2, 5, direction, "a")
         assert decimate(w, spec).symbols == _reference_decimate(w.symbols, 2, 5, direction, "a"), direction
@@ -515,7 +510,7 @@ def test_decimation_matches_reference(s, data):
     p = data.draw(st.integers(min_value=0, max_value=q))
     direction = data.draw(st.sampled_from(list(Direction)))
     letter = data.draw(st.sampled_from(["a", "b"]))
-    w = make_word(s, alphabet("ab"))
+    w = Word(s, OrderedAlphabet("ab"))
     result = decimate(w, DecimationSpec(p, q, direction, letter))
     assert result.symbols == _reference_decimate(s, p, q, direction, letter)
 
@@ -526,11 +521,11 @@ def test_decimation_removal_count(s, data):
     q = data.draw(st.integers(min_value=1, max_value=6))
     p = data.draw(st.integers(min_value=0, max_value=q))
     direction = data.draw(st.sampled_from(list(Direction)))
-    w = make_word(s, alphabet("ab"))
+    w = Word(s, OrderedAlphabet("ab"))
     n_occ = s.count("a")
     result = decimate(w, DecimationSpec(p, q, direction, "a"))
     full_blocks = n_occ // q
     partial = min(p, n_occ - full_blocks * q)
     removed = full_blocks * p + partial
-    assert count_letter(result, "a") == n_occ - removed
-    assert count_letter(result, "b") == s.count("b")
+    assert result.symbols.count("a") == n_occ - removed
+    assert result.symbols.count("b") == s.count("b")
