@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import christoffel
+import christoffel.words as words_module
 from christoffel import (
     ChristoffelSpec,
     DecimationSpec,
@@ -462,11 +463,16 @@ def test_decimation_spec_takes_direction_values():
         assert decimate(w, spec).symbols == result
 
 
-def _reference_decimate(s, p, q, direction, letter):
-    """Position-by-position reference: walk the occurrence list explicitly."""
-    occ = [i for i, c in enumerate(s) if c == letter]
+def _reference_decimate(s, p, q, direction, letter, occ=None):
+    """Position-by-position reference: walk the occurrence list explicitly.
+
+    `occ`, the indices of `letter` in `s` from left to right, may be passed
+    in when one word is decimated many times.
+    """
+    if occ is None:
+        occ = [i for i, c in enumerate(s) if c == letter]
     if direction is Direction.RIGHT_TO_LEFT:
-        occ.reverse()
+        occ = occ[::-1]
     doomed = set()
     for start in range(0, len(occ) + 1, q):
         block = occ[start:start + q]
@@ -474,33 +480,72 @@ def _reference_decimate(s, p, q, direction, letter):
     return "".join(c for i, c in enumerate(s) if i not in doomed)
 
 
-def test_decimation_matches_reference_exhaustively():
-    # A third letter shows that letters other than the target are left in place.
-    for letters, max_len in (("ab", 10), ("abc", 6)):
+def _check_decimation_exhaustively(alphabets):
+    """decimate against the reference on every word up to each length, for every (p, q <= 5)."""
+    for letters, max_len in alphabets:
         alpha = OrderedAlphabet(letters)
+        specs = [DecimationSpec(p, q, direction, letter)
+                 for letter in letters for q in range(1, 6) for p in range(q + 1) for direction in Direction]
         for s in words_upto(letters, max_len):
             w = Word(s, alpha)
-            for q in range(1, 6):
-                for p in range(q + 1):
-                    for direction in Direction:
-                        for letter in letters:
-                            result = decimate(w, DecimationSpec(p, q, direction, letter))
-                            expected = _reference_decimate(s, p, q, direction, letter)
-                            assert result.symbols == expected, (s, p, q, direction, letter)
+            occ = {letter: [i for i, c in enumerate(s) if c == letter] for letter in letters}
+            for spec in specs:
+                expected = _reference_decimate(s, spec.p, spec.q, spec.direction, spec.letter, occ[spec.letter])
+                assert decimate(w, spec).symbols == expected, (s, spec)
+
+
+def test_decimation_matches_reference_exhaustively():
+    # A third letter shows that letters other than the target are left in place.
+    _check_decimation_exhaustively((("ab", 10), ("abc", 6)))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_decimation_matches_reference_across_blocks(monkeypatch, block):
+    # Blocks of a few letters: occurrences fall in every phase at every block
+    # boundary, and the non-ASCII letter is split on and deleted there too.
+    monkeypatch.setattr(words_module, "_BLOCK", block)
+    _check_decimation_exhaustively((("ab", 6), ("aβc", 4)))
 
 
 def test_decimation_removal_count_on_a_long_word():
     w = christoffel_word(ChristoffelSpec(100_003, 37_001, "a", "b"))
+    assert len(w) > 3 * words_module._BLOCK
     n_occ = 37_001
+    occ = [i for i, c in enumerate(w.symbols) if c == "a"]
     for p, q in [(1, 1), (1, 3), (2, 5), (4, 7), (0, 4), (5, 5)]:
         for direction in Direction:
             result = decimate(w, DecimationSpec(p, q, direction, "a"))
             removed = p * (n_occ // q) + min(p, n_occ % q)
             assert result.symbols.count("a") == n_occ - removed, (p, q, direction)
             assert result.symbols.count("b") == 100_003 - n_occ
-    for direction in Direction:
-        spec = DecimationSpec(2, 5, direction, "a")
-        assert decimate(w, spec).symbols == _reference_decimate(w.symbols, 2, 5, direction, "a"), direction
+            assert result.symbols == _reference_decimate(w.symbols, p, q, direction, "a", occ), (p, q, direction)
+
+
+def test_decimation_across_blocks_with_a_non_ascii_letter():
+    rng = Random(7)
+    s = "".join(rng.choices("aβc", k=3 * words_module._BLOCK + 7))
+    w = Word(s, OrderedAlphabet("aβc"))
+    for letter in "aβc":
+        for direction in Direction:
+            expected = _reference_decimate(s, 2, 5, direction, letter)
+            assert decimate(w, DecimationSpec(2, 5, direction, letter)).symbols == expected, (letter, direction)
+
+
+def test_decimation_scratch_memory_is_bounded_by_the_block():
+    # The traced peak counts the result (about one byte a letter here, held
+    # once as block strings and once joined) and one block's pieces; a split
+    # of the whole word costs 20 to 26 bytes a letter.
+    w = cw(1_000_003, 370_001)
+    for letter in "ax":
+        for direction in Direction:
+            spec = DecimationSpec(2, 5, direction, letter)
+            tracemalloc.start()
+            try:
+                decimate(w, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * len(w), (letter, direction, peak)
 
 
 @given(st.text(alphabet="ab", max_size=40), st.data())
