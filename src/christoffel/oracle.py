@@ -4,14 +4,15 @@ Everything here re-derives its answer by exhaustion over residues, shifts, or
 sieves, sharing no arithmetic with the closed-form routines it is used to
 check.  What it takes from `superimpose` is parsing: `_marked_letters` reads
 the marks and the filler off two alphabets, and `_mark_mask` reads a word
-into an int with bit i set iff letter i is a mark.  The validator folds those
-masks by residue, while the oracle rotates them over every shift, so the two
-share a parse, not arithmetic.  Each word of an oracle call is laid on the
-longer word's circle by `_fixed_side`: the shorter word as its folded marks,
-the longer word as its own marks.  For short words that fold is memoised,
-with the bounds of the word memo, so the memo holds either word of a pair and
-skips repeated work only.  `crosscheck` is the one place where the
-superimposition fast path is compared against its oracle.
+into an int, here the reversed word so that bit i is set iff letter i is a
+mark.  The validator folds those masks by residue, while the oracle rotates
+them over every shift, so the two share a parse, not arithmetic.  Each word
+of an oracle call is laid on the longer word's circle by `_fixed_side`: the
+shorter word as its folded marks, the longer word as its own marks.  For
+short words that fold is memoised, with the bounds of the word memo, so the
+memo holds either word of a pair and skips repeated work only.  `crosscheck`
+is the one place where the superimposition fast path is compared against its
+oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
     reads the longer word too.
     """
     n, full = len(symbols), (1 << m) - 1
-    one = _mark_mask(symbols, mark, filler)
+    one = _mark_mask(symbols[::-1], mark, filler)  # bit t is letter t
 
     def rotate(mask: int, k: int) -> int:
         return (mask << k | mask >> m - k) & full

@@ -201,8 +201,12 @@ def _marked_letters(u: Word, v: Word) -> tuple[str, str, str]:
 
 
 def _mark_mask(symbols: str, mark: str, filler: str) -> int:
-    """Bit i is set iff letter i of `symbols` is `mark`."""
-    return int(symbols[::-1].translate({ord(mark): "1", ord(filler): "0"}), 2)
+    """Bit n - 1 - i is set iff letter i of the n letters of `symbols` is `mark`.
+
+    The word is read as a binary numeral, first letter highest; a caller that
+    needs bit i for letter i passes the reversed word.
+    """
+    return int(symbols.translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
 def perfectly_superimposable(u: Word, v: Word) -> bool:
@@ -211,15 +215,19 @@ def perfectly_superimposable(u: Word, v: Word) -> bool:
     The words repeat with their own lengths n and m as periods.  By the
     Chinese remainder theorem, marks at i (mod n) and j (mod m) meet exactly
     when i = j (mod g), g = gcd(n, m).  So each word's mark mask is folded
-    onto g bits, bit r set iff the word has a mark at some index = r (mod g):
-    while more than g bits remain, the mask is cut at the smallest multiple
-    of g that holds at least half of them, and the part above the cut is
-    OR-ed onto the part below.  Every cut is a multiple of g, so each bit
-    keeps its residue mod g.  The words meet iff the two folds share a bit.
+    onto g bits, bit r set iff the word has a mark at some index i with
+    -1 - i = r (mod g): while more than g bits remain, the mask is cut at
+    the smallest multiple of g that holds at least half of them, and the
+    part above the cut is OR-ed onto the part below.  Every cut is a
+    multiple of g, so each bit keeps its residue mod g.  A mask sets bit
+    n - 1 - i for letter i (see `_mark_mask`), and g divides both n and m,
+    so letter i lands on residue -1 - i in either word: the words meet iff
+    the two folds share a bit.
 
     That is O(log(n / g) + log(m / g)) big-int operations of O(n + m) bit
-    work in all, none when n = m.  The parse of a word into its mask holds
-    two copies of its string, so memory peaks near 2*max(n, m) bytes.
+    work in all, none when n = m.  The parse of a word holds one translated
+    copy of its string and then its mask of about n/8 bytes, so memory peaks
+    near 1.3*max(n, m) bytes for one-byte letters.
     """
     n, m = len(u.symbols), len(v.symbols)
     if n == 0 or m == 0:

@@ -224,14 +224,19 @@ def _binary_balanced(s: str, a: str, b: str) -> bool:
         a, b = long, short
 
 
-def _each_indicator(s: str, binary) -> bool:
-    """True iff binary(t, one, zero) holds for the 0/1 indicator t of each letter of `s`.
+def _each_indicator(w: Word, binary) -> bool:
+    """True iff binary(t, one, zero) holds for the 0/1 indicator t of each letter of `w`.
 
-    With two letters the indicators are complements, and the tests here hold
-    for a word exactly when they hold with its letters swapped, so `s`
-    itself is tested, once.
+    The letters present are found by one `in` test per letter of the
+    alphabet, which stops at the letter's first occurrence: only an absent
+    letter costs a pass over the word.  With two letters present the
+    indicators are complements, and the tests here hold for a word exactly
+    when they hold with its letters swapped, so the word itself is tested,
+    once, untranslated; with three or more, each letter's test gets its own
+    translated copy, one at a time.
     """
-    letters = set(s)
+    s = w.symbols
+    letters = [c for c in w.alphabet.letters if c in s]
     if len(letters) < 3:
         return len(letters) < 2 or binary(s, *letters)
     return all(
@@ -269,7 +274,7 @@ def _christoffel_symbols(n: int, alpha: int, low, high):
 
 def is_balanced(w: Word) -> bool:
     """True iff all equal-length factors of `w` have letter counts within 1."""
-    return _each_indicator(w.symbols, _binary_balanced)
+    return _each_indicator(w, _binary_balanced)
 
 
 def _christoffel_conjugate(t: str, one: str, zero: str) -> bool:
@@ -287,7 +292,7 @@ def is_circularly_balanced(w: Word) -> bool:
     letter's 0/1 indicator t passes iff it occurs in c + c for that one word
     c: one Euclid build and one search, without doubling `w`.
     """
-    return _each_indicator(w.symbols, _christoffel_conjugate)
+    return _each_indicator(w, _christoffel_conjugate)
 
 
 def reverse(w: Word) -> Word:
@@ -312,15 +317,31 @@ def conjugate(w: Word, k: int) -> Word:
     return _prechecked(Word, w.symbols[k:] + w.symbols[:k], w.alphabet)
 
 
+# Letters per block of `decimate` and of each period test of `is_primitive`,
+# which bounds the scratch memory of both; for `decimate`, blocks of 2**12 to
+# 2**14 letters took about the same time.
+_BLOCK = 1 << 14
+
+
 def _prime_divisors(n: int):
-    """The distinct prime divisors of n >= 1, in increasing order, by trial division."""
-    p = 2
+    """The distinct prime divisors of n >= 1, in increasing order, by trial division.
+
+    The candidates are 2, 3 and then the numbers 6k - 1 and 6k + 1, which
+    include every larger prime: a third of the integers up to sqrt(n).
+    """
+    for p in 2, 3:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+    p, step = 5, 2
     while p * p <= n:
         if n % p == 0:
             yield p
             while n % p == 0:
                 n //= p
-        p += 1
+        p += step
+        step = 6 - step
     if n > 1:
         yield n
 
@@ -332,16 +353,22 @@ def is_primitive(w: Word) -> bool:
     period n/p for some prime p dividing n.  If w = u**k, any prime p
     dividing k gives w = (u**(k/p))**p, of period n/p.  Conversely a period
     d < n that divides n gives w = (w[:d])**(n/d).  So the prime divisors of
-    n are found by trial division up to sqrt(n), and for each p one
-    comparison of w with its suffix from n/p decides that period.  That is
-    O(sqrt(n)) steps and at most one C-speed comparison per distinct prime
-    divisor, with at most n - n/p characters copied at a time.
+    n are found by trial division up to sqrt(n), over 2, 3 and 6k +- 1, and
+    each period d = n/p is tested in blocks of `_BLOCK` letters: block
+    w[i:i + _BLOCK] must equal the letters d before it, for i = d, d + _BLOCK,
+    ...  The test of a period stops at the first block that differs.  That
+    is O(sqrt(n)) steps and at most n/_BLOCK + 1 C-speed comparisons per
+    distinct prime divisor, with one block of scratch memory.
     """
     s = w.symbols
     if not s:
         raise ValueError("primitivity is undefined for the empty word")
     n = len(s)
-    return not any(s.startswith(s[n // p:]) for p in _prime_divisors(n))
+    for p in _prime_divisors(n):
+        d = n // p
+        if all(s.startswith(s[i:i + _BLOCK], i - d) for i in range(d, n, _BLOCK)):
+            return False
+    return True
 
 
 def projection(w: Word, letter: str, filler: str) -> Word:
@@ -387,11 +414,6 @@ class DecimationSpec(_Value):
 
 
 _set_p, _set_q, _set_direction, _set_letter = DecimationSpec._setters
-
-
-# Letters per block of `decimate`; blocks of 2**12 to 2**14 letters took
-# about the same time.
-_BLOCK = 1 << 14
 
 
 def decimate(w: Word, spec: DecimationSpec) -> Word:

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -181,6 +181,21 @@ def test_circular_balance_matches_brute_force():
         assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
 
 
+def test_predicates_ignore_unused_letters_of_the_alphabet():
+    # The predicates read the letters present off the alphabet; the references
+    # read them off the word, as a set.  The words over each two letters of
+    # four include those over one letter, and the empty word.
+    abcd = OrderedAlphabet("abcd")
+    cases = [s for i, x in enumerate("abcd") for y in "abcd"[i + 1:] for s in words_upto(x + y, 8)]
+    assert "" in cases and "dddddddd" in cases and len(cases) == 6 * 511
+    for s in cases:
+        w = Word(s, abcd)
+        assert is_balanced(w) == brute_balanced(s), s
+        assert is_circularly_balanced(w) == brute_circularly_balanced(s), s
+        if s:
+            assert is_primitive(w) == brute_primitive(s), s
+
+
 def test_balance_matches_brute_force_on_deep_factors():
     """Long factors reach the deeper levels of the desubstitution; slopes of
     consecutive Fibonacci numbers give the most levels for a length.  A
@@ -324,12 +339,17 @@ def test_is_primitive():
         is_primitive(Word("", AX))
 
 
-def test_is_primitive_matches_brute_force_on_all_short_words():
-    for letters, max_len in (("ab", 14), ("abc", 9)):
+def _check_primitivity_exhaustively(alphabets):
+    """is_primitive against the reference on every nonempty word up to each length."""
+    for letters, max_len in alphabets:
         over = OrderedAlphabet(letters)
         for s in words_upto(letters, max_len):
             if s:
                 assert is_primitive(Word(s, over)) == brute_primitive(s), s
+
+
+def test_is_primitive_matches_brute_force_on_all_short_words():
+    _check_primitivity_exhaustively((("ab", 14), ("abc", 9)))
 
 
 def test_is_primitive_matches_brute_force_on_long_powers():
@@ -349,15 +369,77 @@ def test_is_primitive_matches_brute_force_on_long_powers():
             assert is_primitive(Word(roots[0] * k, AX)) == (k == 1)
 
 
+def _naive_prime_divisors(n, primes):
+    """The distinct prime divisors of n, by trial division over `primes`, which must reach sqrt(n)."""
+    out = []
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    return out + [n] * (n > 1)
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return [i for i in range(limit) if sieve[i]]
+
+
+def test_prime_divisors_match_naive_factorization():
+    small = list(range(2, 200))  # every integer, so no prime is assumed
+    for n in range(1, 20_001):
+        assert list(words_module._prime_divisors(n)) == _naive_prime_divisors(n, small), n
+    primes = _primes_below(10**6 + 1)  # up to the square root of 10**12
+    rng = Random(12)
+    cases = [p * p for p in rng.sample(primes, 20) + primes[-3:]]  # prime squares
+    cases += [2**a * 3**b for a in range(40) for b in range(26) if 2**a * 3**b <= 10**12]
+    cases += [p * q for p, q in zip(primes[-6:], primes[-5:])]  # products of two close primes
+    cases += [6 * p * q for p, q in zip(primes[1000:1010], primes[1001:1011])]
+    large = []
+    while len(large) < 6:
+        k = rng.randrange(10**11 // 6, 10**12 // 6)  # primes 6k - 1 and 6k + 1
+        large += [n for n in (6 * k - 1, 6 * k + 1) if _naive_prime_divisors(n, primes) == [n]]
+    for n in cases + large:
+        assert list(words_module._prime_divisors(n)) == _naive_prime_divisors(n, primes), n
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_is_primitive_matches_brute_force_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(words_module, "_BLOCK", block)
+    _check_primitivity_exhaustively((("ab", 11), ("aβc", 7)))
+    # Periods that straddle a block, and powers changed in one letter of
+    # their last block, at each place in it.
+    rng = Random(block)
+    for d in range(1, 4 * block + 3):
+        for k in range(2, 5):
+            s = "".join(rng.choices("ax", k=d)) * k
+            n = len(s)
+            assert not is_primitive(Word(s, AX)), s
+            last = n - 1 - (n - 1 - d) % block  # the start of the last block compared
+            for i in range(last, n):
+                t = s[:i] + "ax"[s[i] == "a"] + s[i + 1:]
+                assert is_primitive(Word(t, AX)) == brute_primitive(t), (t, i)
+
+
 def test_is_primitive_does_not_double_the_word():
-    word = cw(100_003, 37_001)
-    tracemalloc.start()
-    try:
-        assert is_primitive(word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * len(word)
+    # The traced peak is the block compared, one byte a letter here, and a
+    # few small objects; a copy of the word would be 100 KB.
+    primitive = cw(100_003, 37_001)
+    power = Word(cw(33_334, 10_001).symbols * 3, AX)
+    for word, expected in ((primitive, True), (power, False)):
+        tracemalloc.start()
+        try:
+            assert is_primitive(word) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * words_module._BLOCK, (expected, peak)
 
 
 def test_projection_examples():
