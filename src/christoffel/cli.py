@@ -1,7 +1,7 @@
 """Command-line interface exposing every library operation.
 
 Exit codes: 0 success (including negative answers), 2 argument errors,
-3 precondition violations, 4 oracle disagreement under --oracle.
+3 precondition violations, 4 oracle disagreement under --oracle or oracle-check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .christoffel import (
 )
 from .fraenkel import beatty_disjoint_exists, beatty_slice, BeattySpec, fraenkel_word, letter_frequencies
 from .money import CoinPair, boundary_word, frobenius_number, nonrepresentable_count, representable, shifted_cayley
-from .oracle import crosscheck, oracle_beatty_disjoint, oracle_frobenius
+from .oracle import crosscheck, crosscheck_beatty, crosscheck_money
 from .superimpose import (
     SuperimpositionProblem,
     analyze,
@@ -86,11 +86,11 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _oracle_verdict(payload, lines, agree: bool, detail: str, **fields) -> int:
-    """Record an --oracle comparison in the output; its exit status is 4 on disagreement."""
-    payload.update(fields, oracle_agrees=agree)
-    lines.append(f"oracle: {'agree' if agree else 'DISAGREE'}{detail}")
-    return OK if agree else ORACLE_MISMATCH
+def _oracle_verdict(payload, lines, part: str | None, detail: str, **fields) -> int:
+    """Record a cross-check's verdict in the output; the part that disagreed, if any, makes the exit status 4."""
+    payload.update(fields, oracle_agrees=part is None)
+    lines.append(f"oracle: agree{detail}" if part is None else f"oracle: DISAGREE on {part}{detail}")
+    return OK if part is None else ORACLE_MISMATCH
 
 
 def _cmd_gen(args):
@@ -171,9 +171,9 @@ def _cmd_superimpose(args):
         payload["mirror"] = mirror
         lines.append(f"mirror criterion: {_yesno(mirror)}")
     if args.oracle:
-        result, agree = crosscheck(problem)
+        result, part = crosscheck(problem)
         count = len(result.witnesses)
-        status = _oracle_verdict(payload, lines, agree, f" (count {count})",
+        status = _oracle_verdict(payload, lines, part, f" (count {count})",
                                  oracle_decision=result.decision, oracle_count=count)
     return status, payload, lines
 
@@ -233,9 +233,8 @@ def _cmd_frobenius(args):
         payload["representable"] = ok
         lines.append(f"representable({args.amount}): {_yesno(ok)}")
     if args.oracle:
-        largest, gaps = oracle_frobenius(coins)
-        agree = largest == g and gaps == count
-        status = _oracle_verdict(payload, lines, agree, f" ({largest}, {gaps})",
+        (largest, gaps), part = crosscheck_money(coins)
+        status = _oracle_verdict(payload, lines, part, f" ({largest}, {gaps})",
                                  oracle_frobenius=largest, oracle_nonrepresentable=gaps)
     return status, payload, lines
 
@@ -292,17 +291,17 @@ def _cmd_beatty(args):
     lines = [f"disjoint offsets exist: {_yesno(exists)}"]
     status = OK
     if args.oracle:
-        result = oracle_beatty_disjoint(args.p1, args.q1, args.p2, args.q2)
+        result, part = crosscheck_beatty(args.p1, args.q1, args.p2, args.q2)
         offsets = None if result.offsets is None else [str(f) for f in result.offsets]
         witness = "" if offsets is None else f" (offsets {offsets[0]}, {offsets[1]})"
-        status = _oracle_verdict(payload, lines, result.disjoint_possible == exists, witness,
+        status = _oracle_verdict(payload, lines, part, witness,
                                  oracle_disjoint=result.disjoint_possible, oracle_offsets=offsets)
     return status, payload, lines
 
 
 def _cmd_oracle_check(args):
     checked = 0
-    disagreements = []
+    disagreements, reproducers = [], []
     for flag, bound in (("--max-n", args.max_n), ("--unequal-max", args.unequal_max)):
         if bound < 0:
             raise CommandError(f"{flag} must not be negative, got {bound}")
@@ -315,14 +314,16 @@ def _cmd_oracle_check(args):
             for b_count in (b for b in range(1, m + 1) if gcd(b, m) == 1):
                 problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
                 checked += 1
-                if not crosscheck(problem)[1]:
-                    disagreements.append([n, m, a_count, b_count])
+                part = crosscheck(problem)[1]
+                if part:  # superimpose takes the reduced counts q, alpha and beta
+                    disagreements.append([n, m, a_count, b_count, part])
+                    reproducers.append(f"disagree ({part}): n={n} m={m} a={a_count} b={b_count}: christoffel "
+                                       f"superimpose --n {n} --m {m} --q {problem.q} --a {problem.alpha} "
+                                       f"--b {problem.beta} --count --shift --oracle")
     payload = {"max_n": args.max_n,
                "unequal_max": args.unequal_max, "instances": checked,
                "disagreements": disagreements}
-    lines = [f"checked {checked} instances: {len(disagreements)} disagreements"]
-    for item in disagreements:
-        lines.append("disagree: n=%d m=%d a=%d b=%d" % tuple(item))
+    lines = [f"checked {checked} instances: {len(disagreements)} disagreements", *reproducers]
     return (OK if not disagreements else ORACLE_MISMATCH), payload, lines
 
 

@@ -10,9 +10,9 @@ them over every shift, so the two share a parse, not arithmetic.  Each word
 of an oracle call is laid on the longer word's circle by `_fixed_side`: the
 shorter word as its folded marks, the longer word as its own marks.  For
 short words that fold is memoised, with the bounds of the word memo, so the
-memo holds either word of a pair and skips repeated work only.  `crosscheck`
-is the one place where the superimposition fast path is compared against its
-oracle.
+memo holds either word of a pair and skips repeated work only.  The three
+cross-checks, `crosscheck`, `crosscheck_money` and `crosscheck_beatty`, are
+the one place where a fast path is compared against its oracle.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from functools import lru_cache
 from math import floor, lcm
 
 from .christoffel import _MEMO_MAX_N, _MEMO_SIZE
-from .money import CoinPair
+from .fraenkel import beatty_disjoint_exists
+from .money import CoinPair, frobenius_number, nonrepresentable_count
 from .superimpose import (
     SuperimpositionProblem, _mark_mask, _marked_letters, analyze, perfectly_superimposable,
 )
 from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
 __all__ = (
-    "BeattyOracleResult", "OracleResult", "crosscheck", "oracle_beatty_disjoint", "oracle_frobenius",
-    "oracle_superimposable",
+    "BeattyOracleResult", "OracleResult", "crosscheck", "crosscheck_beatty", "crosscheck_money",
+    "oracle_beatty_disjoint", "oracle_frobenius", "oracle_superimposable",
 )
 
 
@@ -153,22 +154,38 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     return OracleResult(bool(witnesses), witnesses, m)
 
 
-def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, bool]:
-    """The oracle's verdict on a problem, and whether the fast path agrees with it.
+def crosscheck(problem: SuperimpositionProblem) -> tuple[OracleResult, str | None]:
+    """The oracle's verdict on a problem, and the first part of `analyze` that disagrees with it.
 
-    Agreement means the same decision, the same number of admissible shifts,
-    and, when superimposable, a canonical witness that passes the validator:
-    the two words the oracle saw, the second reversed and rotated by the
-    report's shift.  It is the check behind `superimpose --oracle` and
-    `oracle-check`.
+    The part is None when the fast path agrees.  Otherwise it is "decision",
+    else "count" (the number of admissible shifts), else "shift": the problem
+    is superimposable and the validator rejects the two words the oracle saw,
+    the second reversed and rotated by the canonical shift.  It is the check
+    behind `superimpose --oracle` and `oracle-check`.
     """
     u, v = problem.first_word(), problem.second_word()
     result = oracle_superimposable(u, v)
     report = analyze(problem)
-    agrees = report.superimposable == result.decision and report.count == len(result.witnesses)
-    if agrees and report.superimposable:
-        agrees = perfectly_superimposable(u, conjugate(reverse(v), report.canonical_shift))
-    return result, agrees
+    if report.superimposable != result.decision:
+        return result, "decision"
+    if report.count != len(result.witnesses):
+        return result, "count"
+    if report.superimposable and not perfectly_superimposable(u, conjugate(reverse(v), report.canonical_shift)):
+        return result, "shift"
+    return result, None
+
+
+def crosscheck_money(coins: CoinPair) -> tuple[tuple[int, int], str | None]:
+    """The sieve's (Frobenius number, gap count), and the first closed form that disagrees with it.
+
+    The part is None when both agree, else "frobenius" (`frobenius_number`),
+    else "nonrepresentable" (`nonrepresentable_count`).  It is the check
+    behind `frobenius --oracle`.
+    """
+    largest, gaps = result = oracle_frobenius(coins)
+    part = ("frobenius" if frobenius_number(coins) != largest
+            else "nonrepresentable" if nonrepresentable_count(coins) != gaps else None)
+    return result, part
 
 
 def oracle_frobenius(coins: CoinPair) -> tuple[int, int]:
@@ -227,3 +244,13 @@ def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleRe
     t = next(t for t in range(d * p2)
              if sign * doubled.find(layout(p2, q2, Fraction(t, d))) % result.modulus in shifts)
     return BeattyOracleResult(True, (Fraction(0), Fraction(t, d)))
+
+
+def crosscheck_beatty(p1: int, q1: int, p2: int, q2: int) -> tuple[BeattyOracleResult, str | None]:
+    """The shift search's outcome, and "decision" if `beatty_disjoint_exists` disagrees with it.
+
+    The part is None when the two agree.  It is the check behind `beatty --oracle`.
+    """
+    exists = beatty_disjoint_exists(p1, q1, p2, q2)
+    result = oracle_beatty_disjoint(p1, q1, p2, q2)
+    return result, None if result.disjoint_possible == exists else "decision"

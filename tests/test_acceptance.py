@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The fast-vs-oracle grid (criteria 3-5) and the structural invariants
-(criteria 9-10) are checked here and nowhere else; the unit modules keep
-examples, error cases and the properties no criterion states.
+The fast-vs-oracle grid (criteria 3-5, each instance through `crosscheck`)
+and the structural invariants (criteria 9-10) are checked here and nowhere
+else; the unit modules keep examples, error cases and the properties no
+criterion states.
 
 The heavy superimposition grid is swept once by a module fixture.  Lengths
 up to 40 are covered exhaustively for every operand pair; for longer unequal
@@ -27,9 +28,10 @@ from christoffel import (
     canonical_shift,
     cayley_graph,
     christoffel_path,
-    christoffel_word,
     conjugate,
     count_superimpositions,
+    crosscheck,
+    crosscheck_money,
     decimate,
     DecimationSpec,
     Direction,
@@ -44,9 +46,6 @@ from christoffel import (
     letter_frequencies,
     letter_positions,
     modular_complement,
-    nonrepresentable_count,
-    oracle_frobenius,
-    oracle_superimposable,
     perfectly_superimposable,
     projection,
     reversal_superimposition_criterion,
@@ -69,29 +68,27 @@ def run_cli(capsys, *args):
 
 @dataclass
 class GridResult:
+    """The instances swept, and those on which each part of `crosscheck` disagreed."""
     instances: int = 0
     superimposable: int = 0
-    decision_mismatches: list = field(default_factory=list)
-    count_mismatches: list = field(default_factory=list)
-    shift_failures: list = field(default_factory=list)
+    decision: list = field(default_factory=list)
+    count: list = field(default_factory=list)
+    shift: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
-def _check_instance(result, n, m, a_count, b_count, u, v):
+def _check_instance(result, n, m, a_count, b_count):
     problem = SuperimpositionProblem.from_letter_counts(n, a_count, m, b_count)
-    verdict = oracle_superimposable(u, v)
-    fast = is_superimposable(problem)
+    verdict, part = crosscheck(problem)
     result.instances += 1
-    if fast != verdict.decision:
-        result.decision_mismatches.append((n, m, a_count, b_count))
-        return
-    if count_superimpositions(problem) != len(verdict.witnesses):
-        result.count_mismatches.append((n, m, a_count, b_count))
-    if fast:
-        result.superimposable += 1
-        shift, _ = canonical_shift(problem)
-        if not perfectly_superimposable(u, conjugate(reverse(v), shift)):
-            result.shift_failures.append((n, m, a_count, b_count))
+    result.superimposable += verdict.decision
+    if part:
+        getattr(result, part).append((n, m, a_count, b_count))
+    # crosscheck reads analyze; the three single calls must give its fields.
+    report = analyze(problem)
+    assert is_superimposable(problem) == report.superimposable, problem
+    assert count_superimpositions(problem) == report.count, problem
+    assert not report.superimposable or canonical_shift(problem) == (report.canonical_shift, True), problem
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +98,9 @@ def grid():
 
     for n in range(1, GRID_MAX + 1):
         cop = coprimes(n)
-        words_a = {a: christoffel_word(ChristoffelSpec(n, a)) for a in cop}
-        words_b = {b: christoffel_word(ChristoffelSpec(n, b, "b", "x")) for b in cop}
         for a_count in cop:
-            u = words_a[a_count]
             for b_count in cop:
-                _check_instance(result, n, n, a_count, b_count, u, words_b[b_count])
+                _check_instance(result, n, n, a_count, b_count)
 
     for n in range(1, GRID_MAX + 1):
         cop_n = coprimes(n)
@@ -123,11 +117,8 @@ def grid():
                          for b in cop_m[:bisect_right(cop_m, p + 1 - a)]]
                 pairs.append((cop_n[-1], cop_m[-1]))
                 pairs.append((cop_n[len(cop_n) // 2], cop_m[len(cop_m) // 2]))
-            words_a = {a: christoffel_word(ChristoffelSpec(n, a)) for a in {a for a, _ in pairs}}
-            words_b = {b: christoffel_word(ChristoffelSpec(m, b, "b", "x")) for b in {b for _, b in pairs}}
             for a_count, b_count in pairs:
-                _check_instance(result, n, m, a_count, b_count,
-                                words_a[a_count], words_b[b_count])
+                _check_instance(result, n, m, a_count, b_count)
 
     result.elapsed = time.perf_counter() - start
     return result
@@ -208,18 +199,18 @@ def test_criterion_2_worked_examples_byte_exact(capsys):
 
 def test_criterion_3_decision_matches_oracle(grid):
     assert grid.elapsed < 300.0, f"grid sweep took {grid.elapsed:.0f}s"
-    assert not grid.decision_mismatches, grid.decision_mismatches[:10]
+    assert not grid.decision, grid.decision[:10]
     print(f"\nACCEPTANCE 3: PASS - decision agrees on {grid.instances} instances "
           f"({grid.superimposable} superimposable) in {grid.elapsed:.0f}s")
 
 
 def test_criterion_4_count_matches_oracle(grid):
-    assert not grid.count_mismatches, grid.count_mismatches[:10]
+    assert not grid.count, grid.count[:10]
     print(f"\nACCEPTANCE 4: PASS - shift counts exact on {grid.instances} instances")
 
 
 def test_criterion_5_canonical_shift_always_valid(grid):
-    assert not grid.shift_failures, grid.shift_failures[:10]
+    assert not grid.shift, grid.shift[:10]
     print(f"\nACCEPTANCE 5: PASS - canonical shift valid on {grid.superimposable} "
           f"superimposable instances")
 
@@ -273,9 +264,7 @@ def test_criterion_8_money_problem():
             if gcd(a, b) != 1:
                 continue
             coins = CoinPair(a, b)
-            largest, count = oracle_frobenius(coins)
-            assert frobenius_number(coins) == largest, (a, b)
-            assert nonrepresentable_count(coins) == count, (a, b)
+            assert crosscheck_money(coins)[1] is None, (a, b)
             assert boundary_word(coins, "a", "x").word == cw(a + b, a), (a, b)
             checked += 1
     elapsed = time.perf_counter() - start

@@ -12,9 +12,9 @@ from math import gcd
 import pytest
 
 import christoffel
-from christoffel import (BeattyOracleResult, SuperimpositionProblem, SuperimpositionReport,
-                         count_superimpositions)
-from christoffel import cli
+from christoffel import (BeattyOracleResult, CoinPair, SuperimpositionProblem, SuperimpositionReport, analyze,
+                         count_superimpositions, crosscheck, crosscheck_beatty, crosscheck_money)
+from christoffel import oracle
 from christoffel.cli import main
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -131,9 +131,7 @@ def test_cli_count_is_count_superimpositions(capsys):
 
 
 def test_gen(capsys):
-    status, out, _ = run_cli(capsys, "gen", "--n", "8", "--alpha", "5", "--letters", "a,x")
-    assert status == 0
-    assert out == "aaxaaxax\n"
+    assert run_cli(capsys, "gen", "--n", "8", "--alpha", "5", "--letters", "a,x") == (0, "aaxaaxax\n", "")
 
 
 def test_gen_cayley_and_path(capsys):
@@ -174,9 +172,7 @@ def test_missing_argument_is_usage_error(capsys):
 
 
 def test_positions(capsys):
-    status, out, _ = run_cli(capsys, "positions", "--n", "8", "--alpha", "5")
-    assert status == 0
-    assert out == "0 1 3 4 6\n"
+    assert run_cli(capsys, "positions", "--n", "8", "--alpha", "5") == (0, "0 1 3 4 6\n", "")
     status, out, _ = run_cli(capsys, "positions", "--n", "13", "--alpha", "4", "--json")
     payload = json.loads(out)
     assert payload["residues"] == [0, 3, 6, 9]
@@ -264,17 +260,10 @@ def test_superimpose_invalid_problem(capsys):
 
 
 def test_decimate(capsys):
-    status, out, _ = run_cli(
-        capsys, "decimate", "--word", "aabaabababa", "--letter", "a",
-        "--p", "1", "--q", "3", "--direction", "right-to-left",
-    )
-    assert status == 0
-    assert out == "abababab\n"
-    status, out, _ = run_cli(
-        capsys, "decimate", "--word", "abababab", "--letter", "b",
-        "--p", "1", "--q", "2", "--direction", "left-to-right",
-    )
-    assert out == "aabaab\n"
+    assert run_cli(capsys, "decimate", "--word", "aabaabababa", "--letter", "a", "--p", "1", "--q", "3",
+                   "--direction", "right-to-left") == (0, "abababab\n", "")
+    assert run_cli(capsys, "decimate", "--word", "abababab", "--letter", "b", "--p", "1", "--q", "2",
+                   "--direction", "left-to-right") == (0, "aabaab\n", "")
 
 
 def test_merge_pipeline(capsys):
@@ -320,34 +309,27 @@ def test_merge_not_superimposable(capsys):
 
 
 def test_frobenius(capsys):
-    status, out, _ = run_cli(capsys, "frobenius", "--a", "8", "--b", "5")
-    assert status == 0
-    assert out == "g(8,5) = 27; non-representable: 14\n"
+    assert run_cli(capsys, "frobenius", "--a", "8", "--b", "5") == (0, "g(8,5) = 27; non-representable: 14\n", "")
     status, out, _ = run_cli(capsys, "frobenius", "--a", "8", "--b", "5",
                              "--amount", "27", "--oracle")
     assert status == 0
     assert "representable(27): no" in out
     assert "oracle: agree" in out
-    status, out, _ = run_cli(capsys, "frobenius", "--a", "1", "--b", "5", "--oracle")
-    assert (status, out) == (0, "g(1,5) = -1; non-representable: 0\noracle: agree (-1, 0)\n")
+    assert run_cli(capsys, "frobenius", "--a", "1", "--b", "5", "--oracle") == (
+        0, "g(1,5) = -1; non-representable: 0\noracle: agree (-1, 0)\n", "")
 
 
 def test_boundary(capsys):
-    status, out, _ = run_cli(capsys, "boundary", "--a", "8", "--b", "5")
-    assert status == 0
-    assert out == "ααβααβαβααβαβ\n"
+    assert run_cli(capsys, "boundary", "--a", "8", "--b", "5") == (0, "ααβααβαβααβαβ\n", "")
     status, out, _ = run_cli(capsys, "boundary", "--a", "8", "--b", "5", "--values")
     lines = out.splitlines()
     assert lines[1] == "27, 32, 37, 29, 34, 39, 31, 36, 28, 33, 38, 30, 35, 27"
-    status, out, _ = run_cli(capsys, "boundary", "--a", "1", "--b", "5", "--values")
-    assert status == 0
-    assert out == "αβββββ\n-1, 4, 3, 2, 1, 0, -1\n"
+    assert run_cli(capsys, "boundary", "--a", "1", "--b", "5", "--values") == (
+        0, "αβββββ\n-1, 4, 3, 2, 1, 0, -1\n", "")
 
 
 def test_fraenkel(capsys):
-    status, out, _ = run_cli(capsys, "fraenkel", "--k", "3")
-    assert status == 0
-    assert out == "1213121\n"
+    assert run_cli(capsys, "fraenkel", "--k", "3") == (0, "1213121\n", "")
     status, out, _ = run_cli(capsys, "fraenkel", "--k", "3", "--project", "1", "--json")
     payload = json.loads(out)
     assert payload["frequencies"] == {"1": 4, "2": 2, "3": 1}
@@ -358,9 +340,7 @@ def test_fraenkel(capsys):
 
 
 def test_beatty_slice(capsys):
-    status, out, _ = run_cli(capsys, "beatty", "--p", "3", "--q", "2", "--lo", "1", "--hi", "4")
-    assert status == 0
-    assert out == "1, 3, 4, 6\n"
+    assert run_cli(capsys, "beatty", "--p", "3", "--q", "2", "--lo", "1", "--hi", "4") == (0, "1, 3, 4, 6\n", "")
     status, out, _ = run_cli(capsys, "beatty", "--p", "7", "--q", "3",
                              "--offset=-1/2", "--lo", "0", "--hi", "3", "--json")
     payload = json.loads(out)
@@ -397,9 +377,7 @@ def test_beatty_mode_confusion(capsys):
 
 
 def test_oracle_check(capsys):
-    status, out, _ = run_cli(capsys, "oracle-check", "--max-n", "12")
-    assert status == 0
-    assert "0 disagreements" in out
+    assert run_cli(capsys, "oracle-check", "--max-n", "12") == (0, "checked 250 instances: 0 disagreements\n", "")
 
 
 def test_oracle_check_rejects_negative_bounds(capsys):
@@ -431,38 +409,57 @@ def test_boolean_false_still_exits_zero(capsys):
     assert "superimposable: no" in out
 
 
-def test_oracle_disagreement_exits_four(capsys, monkeypatch):
-    import christoffel.oracle as oracle_module
-
-    real = oracle_module.analyze
-
-    def lying_analyze(problem):
-        report = real(problem)
-        return SuperimpositionReport(report.superimposable, report.bezout, 999, report.canonical_shift)
-
-    monkeypatch.setattr(oracle_module, "analyze", lying_analyze)
-    status, out, _ = run_cli(capsys, "superimpose", "--n", "13", "--a", "4",
-                             "--m", "13", "--b", "3", "--oracle")
-    assert status == 4
-    assert "DISAGREE" in out
-    assert run_cli(capsys, "oracle-check", "--max-n", "2") == (
-        4, "checked 2 instances: 2 disagreements\n"
-           "disagree: n=1 m=1 a=1 b=1\ndisagree: n=2 m=2 a=1 b=1\n", "")
+def _lying_analyze(lie):
+    """A lying superimposition fast path: the fields of `analyze`'s report passed through `lie`."""
+    return lambda problem: SuperimpositionReport(*lie(*analyze(problem)._values()))
 
 
-@pytest.mark.parametrize("target, liar, argv", [
-    ("oracle_frobenius", lambda coins: (999, 0), ["frobenius", "--a", "8", "--b", "5", "--oracle"]),
-    ("oracle_beatty_disjoint", lambda *args: BeattyOracleResult(False, None),
-     ["beatty", "--p1", "13", "--q1", "4", "--p2", "13", "--q2", "3", "--oracle"]),
-], ids=["frobenius", "beatty"])
-def test_lying_frobenius_or_beatty_oracle_exits_four(capsys, monkeypatch, target, liar, argv):
-    monkeypatch.setattr(f"christoffel.cli.{target}", liar)
-    status, out, _ = run_cli(capsys, *argv)
-    assert status == 4
-    assert out.splitlines()[-1].startswith("oracle: DISAGREE")
-    status, out, _ = run_cli(capsys, *argv, "--json")
-    assert status == 4
-    assert json.loads(out)["oracle_agrees"] is False
+ONE_FAULT_PER_PART = [  # (verb, name patched in christoffel.oracle, its lie, the part that disagrees)
+    ("superimpose", "analyze", _lying_analyze(lambda ok, xy, count, shift: (not ok, xy, count, shift)), "decision"),
+    ("superimpose", "analyze", _lying_analyze(lambda ok, xy, count, shift: (ok, xy, 999, shift)), "count"),
+    # C(13,4) and C(13,3) admit 3 of 13 shifts; rotating the witness by one breaks it.
+    ("superimpose", "analyze",
+     _lying_analyze(lambda ok, xy, count, shift: (ok, xy, count, shift if shift is None else shift + 1)), "shift"),
+    ("frobenius", "oracle_frobenius", lambda coins: (999, 0), "frobenius"),
+    ("frobenius", "nonrepresentable_count", lambda coins: 0, "nonrepresentable"),
+    ("beatty", "oracle_beatty_disjoint", lambda *args: BeattyOracleResult(False, None), "decision"),
+]
+CROSSCHECKS = {  # each verb's cross-check, its arguments, and the command that runs it on them
+    "superimpose": (crosscheck, (SuperimpositionProblem(13, 13, 1, 4, 3),),
+                    "superimpose --n 13 --a 4 --m 13 --b 3 --oracle"),
+    "frobenius": (crosscheck_money, (CoinPair(8, 5),), "frobenius --a 8 --b 5 --oracle"),
+    "beatty": (crosscheck_beatty, (13, 4, 13, 3), "beatty --p1 13 --q1 4 --p2 13 --q2 3 --oracle"),
+}
+
+
+@pytest.mark.parametrize("verb, target, liar, part", ONE_FAULT_PER_PART,
+                         ids=[f"{CROSSCHECKS[row[0]][0].__name__}-{row[3]}" for row in ONE_FAULT_PER_PART])
+def test_each_part_of_each_crosscheck_exits_four(capsys, monkeypatch, verb, target, liar, part):
+    check, args, command = CROSSCHECKS[verb]
+    monkeypatch.setattr(oracle, target, liar)
+    assert check(*args)[1] == part
+    status, out, _ = run_cli(capsys, *command.split())
+    assert status == 4 and out.splitlines()[-1].startswith(f"oracle: DISAGREE on {part}")
+    status, out, _ = run_cli(capsys, *command.split(), "--json")
+    assert status == 4 and json.loads(out)["oracle_agrees"] is False
+    if verb != "superimpose":
+        return
+    # oracle-check names the part, and each reproducer, run under the same fault, exits 4.
+    status, out, _ = run_cli(capsys, "oracle-check", "--max-n", "3")
+    header, *found = out.splitlines()
+    assert status == 4 and found and header == f"checked 6 instances: {len(found)} disagreements"
+    for line in found:
+        assert line.startswith(f"disagree ({part}): n=")
+        assert main(shlex.split(line.split(": christoffel ")[1])) == 4
+    capsys.readouterr()
+    status, out, _ = run_cli(capsys, "oracle-check", "--max-n", "3", "--json")
+    assert status == 4 and {entry[4] for entry in json.loads(out)["disagreements"]} == {part}
+    if part == "count":  # every instance disagrees; n=3, a=b=2 reduces to q=2, alpha=beta=1
+        assert len(found) == 6
+        assert found[0] == ("disagree (count): n=1 m=1 a=1 b=1: "
+                            "christoffel superimpose --n 1 --m 1 --q 1 --a 1 --b 1 --count --shift --oracle")
+        assert found[-1] == ("disagree (count): n=3 m=3 a=2 b=2: "
+                             "christoffel superimpose --n 3 --m 3 --q 2 --a 1 --b 1 --count --shift --oracle")
 
 
 def test_oracle_check_holds_under_optimize():

@@ -11,6 +11,7 @@ from christoffel import (
     SuperimpositionProblem,
     beatty_disjoint_exists,
     beatty_slice,
+    crosscheck_beatty,
     fraenkel_word,
     is_superimposable,
     letter_frequencies,
@@ -130,8 +131,8 @@ def _residues(p, q, offset, period):
 def test_beatty_oracle_agrees_with_criterion_small_grid():
     # Every slope pair in [1, 12]^4, unreduced slopes and slopes <= 1 included.
     for p1, q1, p2, q2 in product(range(1, 13), repeat=4):
-        result = oracle_beatty_disjoint(p1, q1, p2, q2)
-        assert result.disjoint_possible == beatty_disjoint_exists(p1, q1, p2, q2), (p1, q1, p2, q2)
+        result, part = crosscheck_beatty(p1, q1, p2, q2)
+        assert part is None, (p1, q1, p2, q2)
         if result.disjoint_possible:
             period = lcm(p1, p2)
             off1, off2 = result.offsets

@@ -13,10 +13,8 @@ from christoffel import (
     CoinPair,
     OrderedAlphabet,
     SuperimpositionProblem,
-    SuperimpositionReport,
     Word,
     conjugate,
-    crosscheck,
     is_superimposable,
     merge_superimposition,
     oracle_frobenius,
@@ -362,15 +360,3 @@ def test_oracle_frobenius_examples():
 def test_oracle_frobenius_covers_unit_coins():
     assert oracle_frobenius(CoinPair(1, 5)) == oracle_frobenius(CoinPair(5, 1)) == (-1, 0)
 
-
-def test_crosscheck_catches_a_bad_witness(monkeypatch):
-    real = oracle_module.analyze
-
-    def shifted_witness(problem):
-        report = real(problem)
-        return SuperimpositionReport(report.superimposable, report.bezout, report.count,
-                                     report.canonical_shift + 1)
-
-    monkeypatch.setattr(oracle_module, "analyze", shifted_witness)
-    # C(13,4) and C(13,3) admit 3 of 13 shifts; rotating the witness by one breaks it.
-    assert not crosscheck(SuperimpositionProblem(13, 13, 1, 4, 3))[1]
