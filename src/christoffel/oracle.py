@@ -8,11 +8,13 @@ into an int, here the reversed word so that bit i is set iff letter i is a
 mark.  The validator folds those masks by residue, while the oracle rotates
 them over every shift, so the two share a parse, not arithmetic.  Each word
 of an oracle call is laid on the longer word's circle by `_fixed_side`: the
-shorter word as its folded marks, the longer word as its own marks.  For
-short words that fold is memoised, with the bounds of the word memo, so the
-memo holds either word of a pair and skips repeated work only.  The three
-cross-checks, `crosscheck`, `crosscheck_money` and `crosscheck_beatty`, are
-the one place where a fast path is compared against its oracle.
+shorter word as its folded marks, the longer word as its own marks, in the
+three forms the oracle reads: a mark string, its mark count and a doubled
+mark mask.  For short words the three are memoised together, with the
+bounds of the word memo, so the memo holds either word of a pair and skips
+repeated work only.  The three cross-checks, `crosscheck`, `crosscheck_money`
+and `crosscheck_beatty`, are the one place where a fast path is compared
+against its oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _positions(s: str, letter: str):
         i = s.find(letter, i + 1)
 
 
-def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
+def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> tuple[str, int, int]:
     """The marks of the fixed word laid on a circle of m bits, bit t as letter t.
 
     The moving word repeats every m letters, so a mark of the fixed word at
@@ -69,6 +71,12 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
     it by n and ORs in one more copy.  When n = m there is one copy and no
     rotation, so the result is the word's own marks: this is how the oracle
     reads the longer word too.
+
+    The result is everything `oracle_superimposable` reads from the word, on
+    either side: the marks as a string of m letters, letter t "1" iff t is a
+    mark, that string's count of "1"s, and the mask with bit t set iff t is
+    a mark, OR-ed with itself shifted left by m, so that any shift right by
+    less than m reads its rotation from the low m bits.
     """
     n, full = len(symbols), (1 << m) - 1
     one = _mark_mask(symbols[::-1], mark, filler)  # bit t is letter t
@@ -83,7 +91,8 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> str:
         if bit == "1":
             fixed = rotate(fixed, n) | one
             have += 1
-    return f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
+    bits = f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
+    return bits, bits.count("1"), fixed | fixed << m
 
 
 # A sweep meets each short word once per partner of the same length, so both
@@ -103,30 +112,30 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     moving word come from the same function, which lays a word on a circle
     of its own length as its own marks.  When m is at most 1024 both come
     from one bounded memo, keyed by a word's letters, its mark, the filler
-    and m, so a word met again, on either side, with partners of one length
+    and m, whose entry holds the word's mark string, mark count and doubled
+    mask, so a word met again, on either side, with partners of one length
     is parsed and folded once.
 
     Shift k is blocked iff some fixed mark t and some moving mark s have
-    s = t + k (mod m), so a blocked-shift mask gets bit (s - t) mod m for
-    every such pair.  It is built from the marks of the side that has fewer
-    of them (the fixed side on a tie), by one shift per walked mark of a
-    doubled mask of the other side.  Walking fixed marks t, the doubled
-    moving mask shifted right by t sets bit (s - t) mod m for every moving
-    mark s.  Walking moving marks s, at index i = m - 1 - s of the reversed
-    moving word, the doubled reversed fixed mask, bit m - 1 - t for every
-    fixed mark t, shifted right by i sets the same bit.  The walk stops once
-    every shift is blocked.  So every shift is decided: a blocked shift is
-    shown blocked by an explicit pair of marks, and a free shift is reported
-    only after every mark on the walked side has been tried.  The witnesses
-    are the free shifts, in increasing order.
+    s = t + k (mod m).  The blocked shifts are built from the marks of the
+    side that has fewer of them (the fixed side on a tie), by one shift per
+    walked mark of the other side's doubled mask.  Walking fixed marks t,
+    the moving mask shifted right by t sets bit (s - t) mod m for every
+    moving mark s: the blocked shifts.  Walking moving marks s, the fixed
+    mask shifted right by s sets bit (t - s) mod m for every fixed mark t:
+    the blocked shifts negated, which the witnesses negate back.  The walk
+    stops once every shift is blocked.  So every shift is decided: a blocked
+    shift is shown blocked by an explicit pair of marks, and a free shift is
+    reported only after every mark on the walked side has been tried.  The
+    witnesses are the free shifts, in increasing order.
 
     The fold costs O(log(m / gcd(n, m))) rotations and the parse of both
-    words; on two memo hits it costs neither, and what is left before the
-    walk is a reversed copy, two mark counts and one conversion of m bits to
-    an int.  The walk costs at most min(F, M) shifts for F fixed and M moving
-    marks, fewer when it stops; walking the denser side instead could take m
-    where one suffices.  Each is O(m) bit operations, and the masks and the
-    strings they are read from take O(n + m) memory.
+    words; on two memo hits it costs neither, and nothing is converted,
+    counted or copied before the walk.  The walk costs at most min(F, M)
+    shifts for F fixed and M moving marks, fewer when it stops; walking the
+    denser side instead could take m where one suffices.  Each is O(m) bit
+    operations, and the masks and the strings they are read from take
+    O(n + m) memory.
     """
     n, m = len(u.symbols), len(v.symbols)
     if n == 0 or m == 0:
@@ -135,14 +144,11 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     if n > m:
         u, v, mark_u, mark_v, m = v, u, mark_v, mark_u, n
     fold = _cached_fixed_side if m <= _MEMO_MAX_N else _fixed_side
-    fixed_bits = fold(u.symbols, mark_u, filler, m)
-    moving_bits = fold(v.symbols, mark_v, filler, m)[::-1]  # the reversed moving word's marks
-    if fixed_bits.count("1") <= moving_bits.count("1"):
-        source, walked = int(moving_bits, 2), fixed_bits
-    else:
-        source, walked = int(fixed_bits, 2), moving_bits
+    fixed_bits, fixed_count, fixed_mask = fold(u.symbols, mark_u, filler, m)
+    moving_bits, moving_count, moving_mask = fold(v.symbols, mark_v, filler, m)
+    negated = fixed_count > moving_count
+    walked, source = (moving_bits, fixed_mask) if negated else (fixed_bits, moving_mask)
     full = (1 << m) - 1
-    source |= source << m
     blocked = 0
     i = walked.find("1")
     while i >= 0:
@@ -150,7 +156,9 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         if blocked == full:
             return OracleResult(False, (), m)
         i = walked.find("1", i + 1)
-    witnesses = tuple(_positions(bin(full ^ blocked)[:1:-1], "1"))
+    free = f"{full ^ blocked:0{m}b}"  # letter i is "1" iff bit m - 1 - i is unblocked
+    free = free[-1] + free[:-1] if negated else free[::-1]  # letter k is "1" iff shift k is free
+    witnesses = tuple(_positions(free, "1"))
     return OracleResult(bool(witnesses), witnesses, m)
 
 

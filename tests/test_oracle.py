@@ -190,6 +190,18 @@ def _memo_keys(u, v):
     return (u.symbols, mark_u, filler, len(v)), (v.symbols, mark_v, filler, len(v))
 
 
+def _check_memo_entry(key, entry):
+    """Assert that a memo entry is the mark string, its count and the doubled mask of its key's word."""
+    symbols, mark, filler, m = key
+    bits, count, mask = entry
+    n = len(symbols)
+    marks = {(i + j * n) % m for i, c in enumerate(symbols) if c == mark for j in range(m)}
+    assert bits == "".join("1" if t in marks else "0" for t in range(m)), key
+    assert count == bits.count("1"), key
+    reading = int(bits[::-1], 2)  # bit t is letter t
+    assert mask == reading | reading << m, key
+
+
 def test_oracle_answers_do_not_depend_on_the_memo():
     # Every Christoffel word, powers too, against every conjugate of every
     # Christoffel word with n, m <= 16: from an empty memo against the literal
@@ -207,10 +219,13 @@ def test_oracle_answers_do_not_depend_on_the_memo():
             for key in _memo_keys(u, v):
                 if key not in checked:
                     # Each entry the call just used, read back as a hit, is
-                    # what the undecorated helper computes.
+                    # what the undecorated helper computes, and holds the
+                    # literal readings of the word laid on the circle.
                     hits = memo.cache_info().hits
-                    assert memo(*key) == memo.__wrapped__(*key), key
+                    entry = memo(*key)
+                    assert entry == memo.__wrapped__(*key), key
                     assert memo.cache_info().hits == hits + 1
+                    _check_memo_entry(key, entry)
                     checked.add(key)
     assert len(checked) > memo.cache_info().maxsize  # entries were evicted along the way
     warm = iter(cold)
@@ -237,10 +252,39 @@ def test_oracle_memo_keeps_to_its_bounds():
     assert memo.cache_info() == before
 
 
+def test_oracle_memo_hits_parse_and_convert_nothing(monkeypatch):
+    # Every int() the oracle module calls and every word it parses is
+    # counted: a fresh word is parsed once, and a call on two memoised words,
+    # in either role, parses no word and converts no bit string.
+    ints, parses = [], []
+    real_mark_mask = oracle_module._mark_mask
+
+    def counting_int(*args):
+        ints.append(args)
+        return int(*args)
+
+    def counting_mark_mask(*args):
+        parses.append(args)
+        return real_mark_mask(*args)
+
+    monkeypatch.setattr(oracle_module, "int", counting_int, raising=False)
+    monkeypatch.setattr(oracle_module, "_mark_mask", counting_mark_mask)
+    oracle_module._cached_fixed_side.cache_clear()
+    u, v, short = cw(13, 4), cw(13, 3, "b", "x"), cw(9, 2, "b", "x")
+    # (u, v) walks the sparser moving side and (v, u) the sparser fixed side.
+    for pair, parsed in (((u, v), 2), ((u, v), 0), ((v, u), 0), ((short, u), 1), ((u, short), 0)):
+        del parses[:]
+        result = oracle_superimposable(*pair)
+        assert _as_tuple(result) == brute_superimposable(*pair), pair
+        assert len(parses) == parsed, pair
+    assert ints == []
+
+
 def test_oracle_memo_memory_is_bounded():
     # A full memo at the length limit, filled from both sides: each entry
-    # keeps a word's letters and its folded bit string, at most _MEMO_MAX_N
-    # letters each.
+    # keeps a word's letters and its mark string, at most _MEMO_MAX_N letters
+    # each, its mark count and its doubled mask of at most 2 * _MEMO_MAX_N
+    # bits.
     memo = oracle_module._cached_fixed_side
     fixed, moving = cw(_MEMO_MAX_N - 1, 301), cw(_MEMO_MAX_N, 299, "b", "x")
     memo.cache_clear()
