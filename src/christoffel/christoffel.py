@@ -9,7 +9,10 @@ from itertools import accumulate
 from math import gcd
 from numbers import Number
 
-from .words import OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _prechecked, _single_chars
+from .words import (
+    OrderedAlphabet, Word, _Value, _christoffel_symbols, _ints, _new, _prechecked_alphabet, _prechecked_word,
+    _single_chars,
+)
 
 __all__ = (
     "CayleyGraph", "ChristoffelSpec", "LatticePath", "PositionSet", "Step", "cayley_graph",
@@ -127,20 +130,47 @@ class PositionSet(_Value):
 _set_modulus, _set_residues = PositionSet._setters
 
 
+def _prechecked_positions(modulus: int, residues: tuple[int, ...]) -> PositionSet:
+    """A PositionSet stored without its constructor's checks (see `words._prechecked_word`).
+
+    The caller guarantees a positive int modulus and a strictly increasing
+    tuple of ints in [0, modulus).
+    """
+    positions = _new(PositionSet)
+    _set_modulus(positions, modulus)
+    _set_residues(positions, residues)
+    return positions
+
+
 # Sweeps over short words meet the same C(n, alpha) once per partner, so
 # short builds are memoised by (n, alpha, low, high); long words are never
 # kept alive.  The memo holds at most _MEMO_SIZE * _MEMO_MAX_N symbols
 # (256 * 1024).  A hit returns an equal, immutable Word without building its
-# alphabet again, and a build whose letters fail validation is not kept.
+# alphabet again, and a build whose letters fail validation is not kept.  A
+# miss, short or long, checks its letters and builds their alphabet once per
+# letter pair, through a second memo of _MEMO_SIZE entries that keeps only
+# pairs that passed, so every word over one pair shares one alphabet.
 _MEMO_MAX_N = 1024
 _MEMO_SIZE = 256
 
 
+def _letter_pair(low: str, high: str) -> OrderedAlphabet:
+    """The alphabet (low < high), after ChristoffelSpec's letter checks."""
+    _check_letters(low, high)
+    return _prechecked_alphabet((low, high))
+
+
+_cached_letter_pair = lru_cache(maxsize=_MEMO_SIZE)(_letter_pair)
+
+
 def _build_word(n: int, alpha: int, low: str, high: str) -> Word:
-    _check_letters(low, high)  # before the letters are concatenated
-    # The images of low and high are concatenations of low and high only.
-    return _prechecked(Word, _christoffel_symbols(n, alpha, low, high),
-                       _prechecked(OrderedAlphabet, (low, high)))
+    try:
+        alphabet = _cached_letter_pair(low, high)
+    except TypeError:  # an unhashable letter, which the letter checks name
+        alphabet = _letter_pair(low, high)
+    # Checked before the letters are concatenated; the images of low and
+    # high are concatenations of low and high only.
+    return _prechecked_word(_christoffel_symbols(n, alpha, low, high), alphabet)
 
 
 _cached_word = lru_cache(maxsize=_MEMO_SIZE)(_build_word)
@@ -200,7 +230,7 @@ def letter_positions(spec: ChristoffelSpec) -> PositionSet:
         gaps = _christoffel_symbols(alpha, alpha - r, bytes((d,)), bytes((d + 1,)))
         residues = tuple(accumulate(gaps[:-1], initial=0))
     # Either way the residues strictly increase within [0, n).
-    return _prechecked(PositionSet, n, residues)
+    return _prechecked_positions(n, residues)
 
 
 class CayleyGraph(_Value):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import floor, gcd
 
 from .superimpose import _bezout
-from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked
+from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked_word
 
 __all__ = ("BeattySpec", "beatty_disjoint_exists", "beatty_slice", "fraenkel_word", "letter_frequencies")
 
@@ -29,7 +29,7 @@ def fraenkel_word(k: int) -> Word:
     for i in range(1, k):
         word = word + _INDEX_LETTERS[i] + word
     # Built from the first k index letters only.
-    return _prechecked(Word, word, OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
+    return _prechecked_word(word, OrderedAlphabet(tuple(_INDEX_LETTERS[:k])))
 
 
 def letter_frequencies(w: Word) -> dict[str, int]:

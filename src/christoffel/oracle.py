@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import floor, lcm
 
 from .christoffel import _MEMO_MAX_N, _MEMO_SIZE
@@ -51,12 +52,8 @@ class OracleResult(_Value):
 _set_decision, _set_witnesses, _set_modulus = OracleResult._setters
 
 
-def _positions(s: str, letter: str):
-    """Indices of `letter` in `s`, in increasing order."""
-    i = s.find(letter)
-    while i >= 0:
-        yield i
-        i = s.find(letter, i + 1)
+# Reads a string of "0"s and "1"s, encoded, as bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> tuple[str, int, int]:
@@ -127,7 +124,9 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     stops once every shift is blocked.  So every shift is decided: a blocked
     shift is shown blocked by an explicit pair of marks, and a free shift is
     reported only after every mark on the walked side has been tried.  The
-    witnesses are the free shifts, in increasing order.
+    witnesses are the free shifts, in increasing order, read off the string
+    of free shifts in one C-level pass: its letters become bytes 0 and 1,
+    which select from range(m).
 
     The fold costs O(log(m / gcd(n, m))) rotations and the parse of both
     words; on two memo hits it costs neither, and nothing is converted,
@@ -158,7 +157,7 @@ def oracle_superimposable(u: Word, v: Word) -> OracleResult:
         i = walked.find("1", i + 1)
     free = f"{full ^ blocked:0{m}b}"  # letter i is "1" iff bit m - 1 - i is unblocked
     free = free[-1] + free[:-1] if negated else free[::-1]  # letter k is "1" iff shift k is free
-    witnesses = tuple(_positions(free, "1"))
+    witnesses = tuple(compress(range(m), free.encode().translate(_BITS)))
     return OracleResult(bool(witnesses), witnesses, m)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .christoffel import _word
-from .words import OrderedAlphabet, Word, _Value, _ints, _prechecked, conjugate, reverse
+from .words import Word, _Value, _ints, _prechecked_alphabet, _prechecked_word, conjugate, reverse
 
 __all__ = (
     "BezoutSolution", "SuperimpositionProblem", "SuperimpositionReport", "analyze", "canonical_shift",
@@ -271,7 +271,7 @@ def merge_superimposition(u: Word, v: Word) -> Word:
     # The three letters are distinct single characters, checked with the two
     # alphabets, and every byte left is 0, 1 or 2, so nothing is checked again.
     symbols = merged.decode("latin-1").translate({0: filler, 1: mark_u, 2: mark_v})
-    return _prechecked(Word, symbols, _prechecked(OrderedAlphabet, (mark_u, mark_v, filler)))
+    return _prechecked_word(symbols, _prechecked_alphabet((mark_u, mark_v, filler)))
 
 
 def collapse_merge(w: Word, filler: str) -> Word:

@@ -172,20 +172,26 @@ class Word(_Value):
 _set_symbols, _set_alphabet = Word._setters
 
 
-def _prechecked(cls, *fields):
-    """A `cls` value with the given fields, in `_fields` order, set without running its checks.
+# The one way the library builds a Word or an OrderedAlphabet from fields it
+# has already checked: the fields are stored without running the constructor's
+# checks.  The caller guarantees that they would pass every check and are
+# already in the form the constructor stores: a Word's symbols are a str over
+# its alphabet, and an alphabet's letters are a tuple of distinct single
+# printable characters.
+_new = object.__new__
 
-    Only for values the library builds from values it has already checked.
-    The caller guarantees that the fields would pass every check of the
-    public constructor and are already in the form it stores: a Word's
-    symbols are a str over its alphabet, and a PositionSet's modulus is a
-    positive int and its residues a strictly increasing tuple of ints in
-    [0, modulus).
-    """
-    value = object.__new__(cls)
-    for set_field, field in zip(cls._setters, fields):
-        set_field(value, field)
-    return value
+
+def _prechecked_word(symbols: str, alphabet: OrderedAlphabet) -> Word:
+    word = _new(Word)
+    _set_symbols(word, symbols)
+    _set_alphabet(word, alphabet)
+    return word
+
+
+def _prechecked_alphabet(letters: tuple[str, ...]) -> OrderedAlphabet:
+    alphabet = _new(OrderedAlphabet)
+    _set_letters(alphabet, letters)
+    return alphabet
 
 
 def _binary_balanced(s: str, a: str, b: str) -> bool:
@@ -297,7 +303,7 @@ def is_circularly_balanced(w: Word) -> bool:
 
 def reverse(w: Word) -> Word:
     """The mirror image of `w`, over the same alphabet."""
-    return _prechecked(Word, w.symbols[::-1], w.alphabet)  # same symbols, reordered
+    return _prechecked_word(w.symbols[::-1], w.alphabet)  # same symbols, reordered
 
 
 def conjugate(w: Word, k: int) -> Word:
@@ -314,7 +320,7 @@ def conjugate(w: Word, k: int) -> Word:
         return w
     k %= n
     # The same symbols, rotated, so they stay in the alphabet.
-    return _prechecked(Word, w.symbols[k:] + w.symbols[:k], w.alphabet)
+    return _prechecked_word(w.symbols[k:] + w.symbols[:k], w.alphabet)
 
 
 # Letters per block of `decimate` and of each period test of `is_primitive`,
@@ -381,7 +387,7 @@ def projection(w: Word, letter: str, filler: str) -> Word:
         raise ValueError(f"filler {filler!r} collides with the alphabet {w.alphabet.letters}")
     out = w.symbols.translate({ord(c): filler for c in w.alphabet.letters if c != letter})
     # The alphabet checks the filler, and every symbol but `letter` became it.
-    return _prechecked(Word, out, OrderedAlphabet((letter, filler)))
+    return _prechecked_word(out, OrderedAlphabet((letter, filler)))
 
 
 class Direction(Enum):
@@ -454,4 +460,4 @@ def decimate(w: Word, spec: DecimationSpec) -> Word:
             out[2 * i + 1::2 * q] = [""] * ((k - 1 - i) // q + 1)
         blocks.append("".join(out))
         first = (first - k) % q  # the same phase, counted from the next block
-    return _prechecked(Word, "".join(blocks), w.alphabet)  # only the letter was deleted
+    return _prechecked_word("".join(blocks), w.alphabet)  # only the letter was deleted

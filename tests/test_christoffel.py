@@ -10,8 +10,10 @@ import pytest
 
 from christoffel import (
     ChristoffelSpec,
+    OrderedAlphabet,
     PositionSet,
     Step,
+    SuperimpositionProblem,
     cayley_graph,
     christoffel_path,
     christoffel_word,
@@ -23,7 +25,7 @@ from christoffel import (
     modular_inverse,
     reverse,
 )
-from christoffel.christoffel import _MEMO_MAX_N, _cached_word
+from christoffel.christoffel import _MEMO_MAX_N, _MEMO_SIZE, _cached_letter_pair, _cached_word
 from christoffel.words import _christoffel_symbols
 
 from conftest import brute_christoffel, cw, scan_positions
@@ -147,6 +149,36 @@ def test_memo_keeps_the_checks_of_the_build():
             with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} is not a single printable character")):
                 christoffel_word(ChristoffelSpec(8, 5, letter, "x"))
         assert _cached_word.cache_info() == before
+
+
+def test_letter_pair_memo_keeps_only_checked_pairs():
+    assert _cached_letter_pair.cache_info().maxsize == _cached_word.cache_info().maxsize == _MEMO_SIZE
+    _cached_letter_pair.cache_clear()
+    # A problem's words take their letters unchecked, on both sides of the word memo's cutoff.
+    short = SuperimpositionProblem(13, 13, 1, 4, 3)
+    long = SuperimpositionProblem.from_letter_counts(_MEMO_MAX_N + 7, 3, 13, 3)
+    rejected = [
+        (("a", "a"), "low and high letters must differ"),
+        (("ab", "x"), "letter 'ab' is not a single printable character"),
+        (("a", "\x00"), "letter '\\x00' is not a single printable character"),
+        ((["a"], "x"), "letter ['a'] is not a single printable character"),
+        (("a", ["x"]), "letter ['x'] is not a single printable character"),
+        ((["a"], ["a"]), "low and high letters must differ"),
+    ]
+    for letters, message in rejected:
+        for _ in range(2):  # the first call and a repeat raise alike
+            for build in short.first_word, short.second_word, long.first_word:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build(*letters)
+    info = _cached_letter_pair.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)  # no failure left an entry
+
+    words = [cw(8, 5, "c", "y"), cw(13, 4, "c", "y"), short.first_word("c", "y"), short.second_word("c", "y"),
+             long.first_word("c", "y"), cw(_MEMO_MAX_N + 7, 3, "c", "y")]
+    assert words[0].alphabet == OrderedAlphabet("cy")
+    assert all(w.alphabet is words[0].alphabet for w in words)
+    assert cw(8, 5, "y", "c").alphabet == OrderedAlphabet("yc")
+    assert _cached_letter_pair.cache_info().currsize == 2
 
 
 def test_long_builds_bypass_the_memo():

@@ -318,6 +318,18 @@ def test_oracle_matches_literal_reference_on_binary_words(letters, bits_u, bits_
     assert _as_tuple(oracle_superimposable(v, u)) == brute_superimposable(v, u)
 
 
+def test_oracle_matches_literal_reference_on_every_short_binary_pair():
+    # Every pair of words of 1 to 7 letters, in both orders: pairs with every
+    # shift free and with none, m = 1, and fixed sides with more marks than
+    # the moving side, whose free shifts are read back negated.
+    firsts = [Word(s, OrderedAlphabet("ax")) for s in words_upto("ax", 7) if s]
+    seconds = [Word(s, OrderedAlphabet("bx")) for s in words_upto("bx", 7) if s]
+    for u in firsts:
+        for v in seconds:
+            assert _as_tuple(oracle_superimposable(u, v)) == brute_superimposable(u, v), (u, v)
+            assert _as_tuple(oracle_superimposable(v, u)) == brute_superimposable(v, u), (v, u)
+
+
 @pytest.mark.parametrize("u, v, message", [
     ("", "bx", "superimposition needs nonempty words"),
     ("ax", "", "superimposition needs nonempty words"),

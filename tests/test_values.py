@@ -15,8 +15,10 @@ import pytest
 from christoffel import (BeattyOracleResult, BeattySpec, BezoutSolution, CayleyGraph, ChristoffelSpec,
                          CoinPair, DecimationSpec, LatticePath, OracleResult,
                          OrderedAlphabet, PositionSet, QuadrantBoundary, Step, SuperimpositionProblem,
-                         SuperimpositionReport, Word, conjugate)
-from christoffel.words import _prechecked, _Value
+                         SuperimpositionReport, Word, canonical_witness, christoffel_word, conjugate, decimate,
+                         fraenkel_word, letter_positions, merge_superimposition, projection, reverse)
+from christoffel.christoffel import _cached_letter_pair, _cached_word
+from christoffel.words import _prechecked_word, _Value
 
 AX = OrderedAlphabet(("a", "x"))
 
@@ -147,9 +149,49 @@ def test_values_take_eight_bytes_a_field_and_forty_more():
 
 
 def test_prechecked_word_equals_checked_word():
-    built = _prechecked(Word, "aax", AX)
+    built = _prechecked_word("aax", AX)
     checked = Word("aax", AX)
     assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+
+
+def _checked_twin(value):
+    """`value` rebuilt through its public constructor, and so through its checks, fields first."""
+    fields = [_checked_twin(f) if isinstance(f, _Value) else f for f in value._values()]
+    return type(value)(*fields)
+
+
+_PROBLEM = SuperimpositionProblem(13, 13, 1, 4, 3)
+
+# Every public way the library builds a value without its constructor's checks.
+BUILT_WITHOUT_CHECKS = {
+    "reverse": lambda: reverse(Word("aaxax", AX)),
+    "conjugate": lambda: conjugate(Word("aaxax", AX), 2),
+    "decimate": lambda: decimate(Word("aaxaxaa", AX), DecimationSpec(1, 2, "right-to-left")),
+    "projection": lambda: projection(fraenkel_word(3), "2", "x"),
+    "christoffel_word": lambda: christoffel_word(ChristoffelSpec(8, 5, "c", "y")),
+    "first_word": lambda: _PROBLEM.first_word(),
+    "second_word": lambda: _PROBLEM.second_word("b", "y"),
+    "letter_positions": lambda: letter_positions(ChristoffelSpec(8, 5)),
+    "merge_superimposition": lambda: merge_superimposition(*canonical_witness(_PROBLEM)),
+    "fraenkel_word": lambda: fraenkel_word(4),
+}
+
+
+@pytest.mark.parametrize("build", BUILT_WITHOUT_CHECKS.values(), ids=BUILT_WITHOUT_CHECKS)
+def test_values_built_without_checks_equal_their_checked_twins(build):
+    _cached_word.cache_clear()
+    _cached_letter_pair.cache_clear()
+    for value in (build(), build()):  # from empty memos, then from the memos
+        twin = _checked_twin(value)
+        assert value == twin and twin == value
+        assert hash(value) == hash(twin) and repr(value) == repr(twin)
+        loaded = pickle.loads(pickle.dumps(value))
+        assert type(loaded) is type(value) and loaded == value and repr(loaded) == repr(value)
+        for part in (value, *(f for f in value._values() if isinstance(f, _Value))):
+            assert not hasattr(part, "__dict__")
+    # The second build took from the word memo every word that the first one built.
+    memo = _cached_word.cache_info()
+    assert memo.hits == memo.misses
 
 
 # Each message a checked constructor raises, with arguments that raise it.  The
