@@ -2,19 +2,16 @@
 
 Everything here re-derives its answer by exhaustion over residues, shifts, or
 sieves, sharing no arithmetic with the closed-form routines it is used to
-check.  What it takes from `superimpose` is parsing: `_marked_letters` reads
-the marks and the filler off two alphabets, and `_mark_mask` reads a word
-into an int, here the reversed word so that bit i is set iff letter i is a
-mark.  The validator folds those masks by residue, while the oracle rotates
-them over every shift, so the two share a parse, not arithmetic.  Each word
-of an oracle call is laid on the longer word's circle by `_fixed_side`: the
-shorter word as its folded marks, the longer word as its own marks, in the
-three forms the oracle reads: a mark string, its mark count and a doubled
-mark mask.  For short words the three are memoised together, with the
-bounds of the word memo, so the memo holds either word of a pair and skips
-repeated work only.  The three cross-checks, `crosscheck`, `crosscheck_money`
-and `crosscheck_beatty`, are the one place where a fast path is compared
-against its oracle.
+check.  What the word oracle shares with the validator is the reading of a
+word, not `_bezout`: `_marked_letters` reads the marks and the filler off two
+alphabets, `_mark_mask` reads a word into an int, and `_fold` folds that int
+onto p = gcd(n, m) bits, where by the Chinese remainder theorem two periodic
+words meet.  The validator asks whether two folds share a bit; the oracle
+tries every shift of one fold against the other, one shift per walked residue.
+For short words the residues are memoised, keyed by the word and p, so the
+memo serves either word of a pair and skips repeated work only.  The three
+cross-checks, `crosscheck`, `crosscheck_money` and `crosscheck_beatty`, are
+the one place where a fast path is compared against its oracle.
 """
 
 from __future__ import annotations
@@ -22,13 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import floor, lcm
+from math import gcd
 
 from .christoffel import _MEMO_MAX_N, _MEMO_SIZE
-from .fraenkel import beatty_disjoint_exists
+from .fraenkel import BeattySpec, beatty_disjoint_exists, beatty_slice
 from .money import CoinPair, frobenius_number, nonrepresentable_count
 from .superimpose import (
-    SuperimpositionProblem, _mark_mask, _marked_letters, analyze, perfectly_superimposable,
+    SuperimpositionProblem, _fold, _mark_mask, _marked_letters, analyze, perfectly_superimposable,
 )
 from .words import OrderedAlphabet, Word, _Value, _ints, conjugate, reverse
 
@@ -56,40 +53,21 @@ _set_decision, _set_witnesses, _set_modulus = OracleResult._setters
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> tuple[str, int, int]:
-    """The marks of the fixed word laid on a circle of m bits, bit t as letter t.
+def _residues(symbols: str, mark: str, filler: str, p: int) -> tuple[str, int, int]:
+    """The marked residues mod p of a word whose length p divides, in the three forms the oracle reads.
 
-    The moving word repeats every m letters, so a mark of the fixed word at
-    time t meets the moving word rotated by k exactly when the moving word
-    has a mark at (t + k) mod m.  The lcm(n, m)/n copies of the fixed word
-    that make up one common period are therefore laid on a circle of m bits,
-    copy j rotated by j*n mod m, by the binary method: a mask of h copies is
-    doubled by OR-ing in its own rotation by h*n mod m, and a set bit rotates
-    it by n and ORs in one more copy.  When n = m there is one copy and no
-    rotation, so the result is the word's own marks: this is how the oracle
-    reads the longer word too.
-
-    The result is everything `oracle_superimposable` reads from the word, on
-    either side: the marks as a string of m letters, letter t "1" iff t is a
-    mark, that string's count of "1"s, and the mask with bit t set iff t is
-    a mark, OR-ed with itself shifted left by m, so that any shift right by
-    less than m reads its rotation from the low m bits.
+    The word is read as the validator reads it: `_mark_mask` sets bit
+    n - 1 - i for letter i and `_fold` folds that onto p bits, so bit
+    p - 1 - r is set iff the word has a mark at some index i = r (mod p).
+    Written as a p-digit binary numeral, first digit highest, the fold is
+    therefore the string whose letter r is "1" iff r is a marked residue.
+    The result is that string, its count of "1"s, and the fold doubled,
+    `mask | mask << p`, the numeral of the string written twice, whose
+    p-bit windows are the string's rotations.
     """
-    n, full = len(symbols), (1 << m) - 1
-    one = _mark_mask(symbols[::-1], mark, filler)  # bit t is letter t
-
-    def rotate(mask: int, k: int) -> int:
-        return (mask << k | mask >> m - k) & full
-
-    fixed, have = one, 1
-    for bit in bin(lcm(n, m) // n)[3:]:
-        fixed |= rotate(fixed, have * n % m)
-        have *= 2
-        if bit == "1":
-            fixed = rotate(fixed, n) | one
-            have += 1
-    bits = f"{fixed:0{m}b}"[::-1]  # letter t is "1" iff t is a fixed mark
-    return bits, bits.count("1"), fixed | fixed << m
+    mask = _fold(_mark_mask(symbols, mark, filler), len(symbols), p)
+    bits = f"{mask:0{p}b}"
+    return bits, bits.count("1"), mask | mask << p
 
 
 # A sweep meets each short word once per partner of the same length, so both
@@ -97,67 +75,69 @@ def _fixed_side(symbols: str, mark: str, filler: str, m: int) -> tuple[str, int,
 # memoised, in at most _MEMO_SIZE entries (the bounds of the word memo).  The
 # key is the word's str, whose hash is cached, not the Word, whose hash is
 # rebuilt from its fields on every call.
-_cached_fixed_side = lru_cache(maxsize=_MEMO_SIZE)(_fixed_side)
+_cached_residues = lru_cache(maxsize=_MEMO_SIZE)(_residues)
 
 
 def oracle_superimposable(u: Word, v: Word) -> OracleResult:
     """Mark every shift of the longer word that two marks block; the rest are the witnesses.
 
     The operands are ordered so the shifted word is the longer one, of length
-    m, and the marks of the fixed word are laid on a circle of m bits, one
-    common period folded onto it (see `_fixed_side`).  The marks of the
-    moving word come from the same function, which lays a word on a circle
-    of its own length as its own marks.  When m is at most 1024 both come
-    from one bounded memo, keyed by a word's letters, its mark, the filler
-    and m, whose entry holds the word's mark string, mark count and doubled
-    mask, so a word met again, on either side, with partners of one length
-    is parsed and folded once.
+    m, and the fixed word has length n <= m.  By the Chinese remainder
+    theorem a mark of the fixed word at i (mod n) meets a mark of the moving
+    word at j (mod m) exactly when i = j (mod p), p = gcd(n, m), so whether
+    shift k is blocked depends on k mod p only, and both words are read as
+    their marked residues mod p (see `_residues`).  When m is at most 1024
+    the residues come from one bounded memo, keyed by a word's letters, its
+    mark, the filler and p, so a word met again, on either side, with
+    partners of one gcd is parsed and folded once.
 
-    Shift k is blocked iff some fixed mark t and some moving mark s have
-    s = t + k (mod m).  The blocked shifts are built from the marks of the
-    side that has fewer of them (the fixed side on a tie), by one shift per
-    walked mark of the other side's doubled mask.  Walking fixed marks t,
-    the moving mask shifted right by t sets bit (s - t) mod m for every
-    moving mark s: the blocked shifts.  Walking moving marks s, the fixed
-    mask shifted right by s sets bit (t - s) mod m for every fixed mark t:
-    the blocked shifts negated, which the witnesses negate back.  The walk
-    stops once every shift is blocked.  So every shift is decided: a blocked
-    shift is shown blocked by an explicit pair of marks, and a free shift is
-    reported only after every mark on the walked side has been tried.  The
-    witnesses are the free shifts, in increasing order, read off the string
-    of free shifts in one C-level pass: its letters become bytes 0 and 1,
-    which select from range(m).
+    Shift k is blocked iff some fixed residue t and some moving residue s
+    have s = t + k (mod p).  The blocked shifts are built from the residues
+    of the side that has fewer of them (the fixed side on a tie), by one
+    shift per walked residue of the other side's doubled mask.  Walking
+    fixed residues t, the moving mask shifted right by p - t, cut to p bits,
+    is the moving string rotated left by t, whose letter k is "1" iff t + k
+    is a moving residue: the blocked shifts.  Walking moving residues s, the
+    fixed string rotated left by s gives the blocked shifts negated, which
+    the witnesses negate back.  The walk stops once every shift is blocked.
+    So every shift is decided: a blocked shift is shown blocked by an
+    explicit pair of marks, and a free shift is reported only after every
+    residue on the walked side has been tried.  The witnesses are the free
+    shifts below m, in increasing order: the string of free residues, its
+    letters made bytes 0 and 1 and repeated m/p times, selects them from
+    range(m) in one C-level pass.
 
-    The fold costs O(log(m / gcd(n, m))) rotations and the parse of both
-    words; on two memo hits it costs neither, and nothing is converted,
-    counted or copied before the walk.  The walk costs at most min(F, M)
-    shifts for F fixed and M moving marks, fewer when it stops; walking the
-    denser side instead could take m where one suffices.  Each is O(m) bit
-    operations, and the masks and the strings they are read from take
-    O(n + m) memory.
+    The reading costs the parse of both words and O(log(m / p)) big-int
+    operations; on two memo hits it costs neither.  The walk costs at most
+    min(F, M) shifts for F fixed and M moving residues, fewer when it stops;
+    walking the denser side instead could take p where one suffices.  Each
+    is O(p) bit operations, and the lift to m shifts is O(m).  The parse
+    takes O(n + m) memory and the lift O(m).
     """
     n, m = len(u.symbols), len(v.symbols)
     if n == 0 or m == 0:
         raise ValueError("superimposition needs nonempty words")
     mark_u, mark_v, filler = _marked_letters(u, v)
+    p = gcd(n, m)
     if n > m:
         u, v, mark_u, mark_v, m = v, u, mark_v, mark_u, n
-    fold = _cached_fixed_side if m <= _MEMO_MAX_N else _fixed_side
-    fixed_bits, fixed_count, fixed_mask = fold(u.symbols, mark_u, filler, m)
-    moving_bits, moving_count, moving_mask = fold(v.symbols, mark_v, filler, m)
+    read = _cached_residues if m <= _MEMO_MAX_N else _residues
+    fixed_bits, fixed_count, fixed_mask = read(u.symbols, mark_u, filler, p)
+    moving_bits, moving_count, moving_mask = read(v.symbols, mark_v, filler, p)
     negated = fixed_count > moving_count
     walked, source = (moving_bits, fixed_mask) if negated else (fixed_bits, moving_mask)
-    full = (1 << m) - 1
+    full = (1 << p) - 1
     blocked = 0
     i = walked.find("1")
     while i >= 0:
-        blocked |= source >> i & full
+        blocked |= source >> p - i & full
         if blocked == full:
             return OracleResult(False, (), m)
         i = walked.find("1", i + 1)
-    free = f"{full ^ blocked:0{m}b}"  # letter i is "1" iff bit m - 1 - i is unblocked
-    free = free[-1] + free[:-1] if negated else free[::-1]  # letter k is "1" iff shift k is free
-    witnesses = tuple(compress(range(m), free.encode().translate(_BITS)))
+    free = f"{full ^ blocked:0{p}b}"  # letter k is "1" iff shift k is free, or -k when negated
+    if negated:
+        free = free[:1] + free[:0:-1]
+    witnesses = tuple(compress(range(m), free.encode().translate(_BITS) * (m // p)))
     return OracleResult(bool(witnesses), witnesses, m)
 
 
@@ -239,7 +219,7 @@ def oracle_beatty_disjoint(p1: int, q1: int, p2: int, q2: int) -> BeattyOracleRe
     d = max(q1, q2)
 
     def layout(p, q, offset):
-        marks = {floor(Fraction(p, q) * i + offset) % p for i in range(q)}
+        marks = {t % p for t in beatty_slice(BeattySpec(p, q, offset), 0, q - 1)}
         return "".join("a" if j in marks else "x" for j in range(p))
 
     v = layout(p2, q2, 0)

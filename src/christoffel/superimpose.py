@@ -209,20 +209,34 @@ def _mark_mask(symbols: str, mark: str, filler: str) -> int:
     return int(symbols.translate({ord(mark): "1", ord(filler): "0"}), 2)
 
 
+def _fold(mask: int, width: int, g: int) -> int:
+    """Fold a mask of `width` bits onto g bits: bit r is set iff the mask has a set bit at some r + j*g.
+
+    g divides width.  While more than g bits remain, the mask is cut at the
+    smallest multiple of g that holds at least half of them, and the part
+    above the cut is OR-ed onto the part below.  Every cut is a multiple of
+    g, so each bit keeps its residue mod g.  This is the Chinese remainder
+    theorem at work: marks at i (mod n) and j (mod m) meet exactly when
+    i = j (mod gcd(n, m)), so a word of length n, read against one of length
+    m, is known by its mask of n bits folded onto gcd(n, m).  It costs
+    O(log(width / g)) big-int operations of O(width) bit work in all, none
+    when width = g.
+    """
+    while width > g:
+        width = (width // g + 1) // 2 * g
+        mask = mask & ((1 << width) - 1) | mask >> width
+    return mask
+
+
 def perfectly_superimposable(u: Word, v: Word) -> bool:
     """True iff the marked positions of u and v are disjoint as periodic sets.
 
-    The words repeat with their own lengths n and m as periods.  By the
-    Chinese remainder theorem, marks at i (mod n) and j (mod m) meet exactly
-    when i = j (mod g), g = gcd(n, m).  So each word's mark mask is folded
-    onto g bits, bit r set iff the word has a mark at some index i with
-    -1 - i = r (mod g): while more than g bits remain, the mask is cut at
-    the smallest multiple of g that holds at least half of them, and the
-    part above the cut is OR-ed onto the part below.  Every cut is a
-    multiple of g, so each bit keeps its residue mod g.  A mask sets bit
-    n - 1 - i for letter i (see `_mark_mask`), and g divides both n and m,
-    so letter i lands on residue -1 - i in either word: the words meet iff
-    the two folds share a bit.
+    The words repeat with their own lengths n and m as periods.  Each word's
+    mark mask is folded onto g = gcd(n, m) bits by `_fold`, bit r set iff the
+    word has a mark at some index i with -1 - i = r (mod g).  A mask sets bit
+    n - 1 - i for letter i (see `_mark_mask`), and g divides both n and m, so
+    letter i lands on residue -1 - i in either word: the words meet iff the
+    two folds share a bit.
 
     That is O(log(n / g) + log(m / g)) big-int operations of O(n + m) bit
     work in all, none when n = m.  The parse of a word holds one translated
@@ -234,14 +248,8 @@ def perfectly_superimposable(u: Word, v: Word) -> bool:
         raise ValueError("superimposition needs nonempty words")
     mark_u, mark_v, filler = _marked_letters(u, v)
     g = gcd(n, m)
-
-    def fold(mask: int, width: int) -> int:
-        while width > g:
-            width = (width // g + 1) // 2 * g
-            mask = mask & ((1 << width) - 1) | mask >> width
-        return mask
-
-    return not fold(_mark_mask(u.symbols, mark_u, filler), n) & fold(_mark_mask(v.symbols, mark_v, filler), m)
+    return not (_fold(_mark_mask(u.symbols, mark_u, filler), n, g)
+                & _fold(_mark_mask(v.symbols, mark_v, filler), m, g))
 
 
 def merge_superimposition(u: Word, v: Word) -> Word:

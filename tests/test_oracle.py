@@ -75,10 +75,11 @@ def test_oracle_matches_literal_reference_on_christoffel_pairs():
 
 
 def test_oracle_matches_literal_reference_on_sweep_sized_unequal_pairs():
-    # One common period holds m/gcd(n, m) copies of the fixed word and
-    # n/gcd(n, m) of the moving one.  Seeded length pairs from 61-120 give
-    # coprime lengths (the longest periods) and both parities of the moving
-    # copy count; a proper divisor n of m gives a single moving copy.
+    # The oracle folds the fixed word's n letters onto p = gcd(n, m) in
+    # n/p blocks, and the moving word's m letters in m/p.  Seeded length
+    # pairs from 61-120 give coprime lengths (p = 1, the deepest folds) and
+    # both parities of the fixed block count; a proper divisor n of m gives
+    # a single fixed block, which is not folded.
     rng = Random(2010)
     lengths = [tuple(sorted(rng.sample(range(61, 121), 2))) for _ in range(150)]
     for m in rng.sample([m for m in range(61, 121) if any(m % d == 0 for d in range(2, m))], 20):
@@ -124,13 +125,12 @@ def test_oracle_matches_literal_reference_on_long_pairs():
     assert decisions == {False, True}
 
 
-def _marks_on_the_circle(u, v):
-    """(F, M): marked residues mod the longer length m of the fixed word's copies, and the moving word's marks."""
+def _marked_residues(u, v):
+    """(F, M): the numbers of marked residues mod gcd(n, m) of the fixed (shorter) and the moving word."""
     if len(u) > len(v):
         u, v = v, u
-    n, m = len(u), len(v)
-    fixed = {(t + j * n) % m for t, c in enumerate(u.symbols) if c != "x" for j in range(m)}
-    return len(fixed), sum(c != "x" for c in v.symbols)
+    p = gcd(len(u), len(v))
+    return tuple(len({i % p for i, c in enumerate(w.symbols) if c != "x"}) for w in (u, v))
 
 
 def test_oracle_matches_literal_reference_whichever_side_is_sparser():
@@ -148,7 +148,7 @@ def test_oracle_matches_literal_reference_whichever_side_is_sparser():
             for first, second in ((u, v), (v, u)):
                 expected = brute_superimposable(first, second)
                 assert _as_tuple(oracle_superimposable(first, second)) == expected, (n, a, m, b)
-                fixed, moving = _marks_on_the_circle(first, second)
+                fixed, moving = _marked_residues(first, second)
                 sparser = "tie" if fixed == moving else "fixed" if fixed < moving else "moving"
                 seen.add((sparser, expected[0]))
                 seen.add(("n > m", len(first) > len(second), expected[0]))
@@ -183,30 +183,27 @@ def test_oracle_memory_is_linear_in_the_lengths():
 
 
 def _memo_keys(u, v):
-    """The keys under which the oracle memoises the fixed (shorter) and the moving side of (u, v)."""
+    """The keys under which the oracle memoises the two words of (u, v): each word, its mark, the filler and p."""
     mark_u, mark_v, filler = _marked_letters(u, v)
-    if len(u) > len(v):
-        u, v, mark_u, mark_v = v, u, mark_v, mark_u
-    return (u.symbols, mark_u, filler, len(v)), (v.symbols, mark_v, filler, len(v))
+    p = gcd(len(u), len(v))
+    return (u.symbols, mark_u, filler, p), (v.symbols, mark_v, filler, p)
 
 
 def _check_memo_entry(key, entry):
-    """Assert that a memo entry is the mark string, its count and the doubled mask of its key's word."""
-    symbols, mark, filler, m = key
+    """Assert that a memo entry is the residue string, its count and the doubled mask of its key's word."""
+    symbols, mark, filler, p = key
     bits, count, mask = entry
-    n = len(symbols)
-    marks = {(i + j * n) % m for i, c in enumerate(symbols) if c == mark for j in range(m)}
-    assert bits == "".join("1" if t in marks else "0" for t in range(m)), key
-    assert count == bits.count("1"), key
-    reading = int(bits[::-1], 2)  # bit t is letter t
-    assert mask == reading | reading << m, key
+    marks = {i % p for i, c in enumerate(symbols) if c == mark}
+    assert bits == "".join("1" if r in marks else "0" for r in range(p)), key
+    assert count == len(marks), key
+    assert mask == int(bits * 2, 2), key  # the string written twice, first letter highest
 
 
 def test_oracle_answers_do_not_depend_on_the_memo():
     # Every Christoffel word, powers too, against every conjugate of every
     # Christoffel word with n, m <= 16: from an empty memo against the literal
     # reference, then again from a full memo, call for call the same results.
-    memo = oracle_module._cached_fixed_side
+    memo = oracle_module._cached_residues
     firsts = [cw(n, a) for n in range(1, 17) for a in range(1, n + 1)]
     seconds = [conjugate(cw(m, b, "b", "x"), k) for m in range(1, 17) for b in range(1, m + 1) for k in range(m)]
     memo.cache_clear()
@@ -220,7 +217,7 @@ def test_oracle_answers_do_not_depend_on_the_memo():
                 if key not in checked:
                     # Each entry the call just used, read back as a hit, is
                     # what the undecorated helper computes, and holds the
-                    # literal readings of the word laid on the circle.
+                    # literal readings of the word's marked residues.
                     hits = memo.cache_info().hits
                     entry = memo(*key)
                     assert entry == memo.__wrapped__(*key), key
@@ -235,7 +232,7 @@ def test_oracle_answers_do_not_depend_on_the_memo():
 
 
 def test_oracle_memo_keeps_to_its_bounds():
-    memo = oracle_module._cached_fixed_side
+    memo = oracle_module._cached_residues
     assert memo.cache_info().maxsize == _MEMO_SIZE
     at_limit = cw(_MEMO_MAX_N, 5, "b", "x")
     oracle_superimposable(cw(7, 3), at_limit)
@@ -254,8 +251,9 @@ def test_oracle_memo_keeps_to_its_bounds():
 
 def test_oracle_memo_hits_parse_and_convert_nothing(monkeypatch):
     # Every int() the oracle module calls and every word it parses is
-    # counted: a fresh word is parsed once, and a call on two memoised words,
-    # in either role, parses no word and converts no bit string.
+    # counted: a word is parsed once per new gcd of the lengths it meets, and
+    # a call on two memoised words, in either role, parses no word and
+    # converts no bit string.
     ints, parses = [], []
     real_mark_mask = oracle_module._mark_mask
 
@@ -269,10 +267,11 @@ def test_oracle_memo_hits_parse_and_convert_nothing(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "int", counting_int, raising=False)
     monkeypatch.setattr(oracle_module, "_mark_mask", counting_mark_mask)
-    oracle_module._cached_fixed_side.cache_clear()
+    oracle_module._cached_residues.cache_clear()
     u, v, short = cw(13, 4), cw(13, 3, "b", "x"), cw(9, 2, "b", "x")
-    # (u, v) walks the sparser moving side and (v, u) the sparser fixed side.
-    for pair, parsed in (((u, v), 2), ((u, v), 0), ((v, u), 0), ((short, u), 1), ((u, short), 0)):
+    # (u, v) walks the sparser moving side and (v, u) the sparser fixed side;
+    # (short, u) has p = 1, which u meets for the first time.
+    for pair, parsed in (((u, v), 2), ((u, v), 0), ((v, u), 0), ((short, u), 2), ((u, short), 0)):
         del parses[:]
         result = oracle_superimposable(*pair)
         assert _as_tuple(result) == brute_superimposable(*pair), pair
@@ -281,12 +280,12 @@ def test_oracle_memo_hits_parse_and_convert_nothing(monkeypatch):
 
 
 def test_oracle_memo_memory_is_bounded():
-    # A full memo at the length limit, filled from both sides: each entry
-    # keeps a word's letters and its mark string, at most _MEMO_MAX_N letters
-    # each, its mark count and its doubled mask of at most 2 * _MEMO_MAX_N
-    # bits.
-    memo = oracle_module._cached_fixed_side
-    fixed, moving = cw(_MEMO_MAX_N - 1, 301), cw(_MEMO_MAX_N, 299, "b", "x")
+    # A full memo at the length limit, filled from both sides of pairs of
+    # equal length, so p = _MEMO_MAX_N and every entry is full size: a word's
+    # letters and its residue string, _MEMO_MAX_N letters each, its mark
+    # count and its doubled mask of 2 * _MEMO_MAX_N bits.
+    memo = oracle_module._cached_residues
+    fixed, moving = cw(_MEMO_MAX_N, 301), cw(_MEMO_MAX_N, 299, "b", "x")
     memo.cache_clear()
     tracemalloc.start()
     try:
